@@ -1,6 +1,5 @@
 #include "core/factory.h"
 
-#include <memory>
 #include <new>
 #include <utility>
 
@@ -13,30 +12,146 @@
 #include "core/logarithmic_method.h"
 #include "core/swor.h"
 #include "core/swr.h"
-#include "util/logging.h"
 #include "util/metrics.h"
 
 namespace swsketch {
 
 namespace {
 
-Status RequireSequence(const WindowSpec& window, const std::string& algo) {
-  if (window.type() != WindowType::kSequence) {
-    return Status::InvalidArgument(
-        algo + " supports sequence-based windows only (Section 7)");
-  }
-  return Status::OK();
+// Constructs T on the heap (mem == nullptr) or into caller storage. The
+// heap branch is a plain new-expression, so `delete` through the virtual
+// destructor matches it, over-aligned types included.
+template <typename T, typename... Args>
+SlidingWindowSketch* Place(void* mem, Args&&... args) {
+  if (mem == nullptr) return new T(std::forward<Args>(args)...);
+  return new (mem) T(std::forward<Args>(args)...);
 }
 
-// Single-operand backend an AMM name wraps at the stacked dimension, or
-// "" for names that are not AMM ("amm-exact" maps to itself: the dual-
-// buffer reference needs no underlying covariance sketch).
-std::string AmmInnerAlgorithm(const std::string& algo) {
-  if (algo == "amm-exact") return "amm-exact";
-  if (algo == "amm-co-fd") return "ds-fd";
-  if (algo == "amm-lm-fd") return "lm-fd";
-  if (algo == "amm-di-fd") return "di-fd";
-  return "";
+// Binds T's constructor arguments, resolved once, into a BoundBackend.
+template <typename T, typename... Args>
+BoundBackend Bind(Args... args) {
+  return {[args...](void* mem) { return Place<T>(mem, args...); },
+          sizeof(T), alignof(T)};
+}
+
+template <typename T>
+Result<SlidingWindowSketch*> Load(void* mem, ByteReader* reader) {
+  auto loaded = T::Deserialize(reader);
+  if (!loaded.ok()) return loaded.status();
+  return Place<T>(mem, loaded.take());
+}
+
+Result<BoundBackend> ResolveSwr(size_t dim, const WindowSpec& window,
+                                const SketchConfig& c) {
+  return Bind<SwrSketch>(
+      dim, window,
+      SwrSketch::Options{.ell = c.ell,
+                         .frobenius_eps = c.frobenius_eps,
+                         .exact_frobenius = c.exact_frobenius,
+                         .seed = c.seed});
+}
+
+template <SworSketch::QueryMode kMode>
+Result<BoundBackend> ResolveSwor(size_t dim, const WindowSpec& window,
+                                 const SketchConfig& c) {
+  return Bind<SworSketch>(
+      dim, window,
+      SworSketch::Options{.ell = c.ell,
+                          .query_mode = kMode,
+                          .frobenius_eps = c.frobenius_eps,
+                          .exact_frobenius = c.exact_frobenius,
+                          .seed = c.seed});
+}
+
+Result<BoundBackend> ResolveLmFd(size_t dim, const WindowSpec& window,
+                                 const SketchConfig& c) {
+  return Bind<LmFd>(
+      dim, window,
+      LmFd::Options{.ell = c.ell,
+                    .blocks_per_level = c.blocks_per_level,
+                    .block_capacity = c.lm_block_capacity,
+                    .fd_buffer_factor = c.fd_buffer_factor},
+      LmFd::MetricSet(MetricScope(MetricScope::Slug("LM-FD"))),
+      FrequentDirections::MakeShrinkScratch());
+}
+
+Result<BoundBackend> ResolveDsFd(size_t dim, const WindowSpec& window,
+                                 const SketchConfig& c) {
+  return Bind<DsFd>(
+      dim, window,
+      DsFd::Options{.ell = c.ell,
+                    .snapshots_per_window = c.ds_snapshots_per_window,
+                    .snapshot_trunc = c.ds_snapshot_trunc,
+                    .frame_ell_factor = c.ds_frame_ell_factor,
+                    .fd_buffer_factor = c.ds_fd_buffer_factor,
+                    .frobenius_eps = c.frobenius_eps,
+                    .exact_frobenius = c.exact_frobenius},
+      DsFd::MetricSet(MetricScope(MetricScope::Slug("DS-FD"))),
+      FrequentDirections::MakeShrinkScratch());
+}
+
+Result<BoundBackend> ResolveLmHash(size_t dim, const WindowSpec& window,
+                                   const SketchConfig& c) {
+  return Bind<LmHash>(
+      dim, window,
+      LmHash::Options{.ell = c.ell,
+                      .blocks_per_level = c.blocks_per_level,
+                      .block_capacity = c.lm_block_capacity,
+                      .seed = c.seed},
+      LmHash::MetricSet(MetricScope(MetricScope::Slug("LM-HASH"))));
+}
+
+Result<BoundBackend> ResolveLmRp(size_t dim, const WindowSpec& window,
+                                 const SketchConfig& c) {
+  return Bind<LmRp>(dim, window,
+                    LmRp::Options{.ell = c.ell,
+                                  .blocks_per_level = c.blocks_per_level,
+                                  .block_capacity = c.lm_block_capacity,
+                                  .seed = c.seed});
+}
+
+Result<BoundBackend> ResolveDiFd(size_t dim, const WindowSpec& window,
+                                 const SketchConfig& c) {
+  return Bind<DiFd>(
+      dim,
+      DiFd::Options{.levels = c.levels,
+                    .window_size = static_cast<uint64_t>(window.extent()),
+                    .max_norm_sq = c.max_norm_sq,
+                    .ell_top = c.ell,
+                    .fd_buffer_factor = c.fd_buffer_factor},
+      DiFd::MetricSet(MetricScope(MetricScope::Slug("DI-FD"))),
+      FrequentDirections::MakeShrinkScratch());
+}
+
+Result<BoundBackend> ResolveDiRp(size_t dim, const WindowSpec& window,
+                                 const SketchConfig& c) {
+  return Bind<DiRp>(
+      dim, DiRp::Options{.levels = c.levels,
+                         .window_size = static_cast<uint64_t>(window.extent()),
+                         .max_norm_sq = c.max_norm_sq,
+                         .ell_top = c.ell,
+                         .seed = c.seed});
+}
+
+Result<BoundBackend> ResolveDiHash(size_t dim, const WindowSpec& window,
+                                   const SketchConfig& c) {
+  return Bind<DiHash>(
+      dim,
+      DiHash::Options{.levels = c.levels,
+                      .window_size = static_cast<uint64_t>(window.extent()),
+                      .max_norm_sq = c.max_norm_sq,
+                      .ell_top = c.ell,
+                      .seed = c.seed});
+}
+
+Result<BoundBackend> ResolveExact(size_t dim, const WindowSpec& window,
+                                  const SketchConfig&) {
+  return Bind<ExactWindow>(dim, window);
+}
+
+Result<BoundBackend> ResolveBest(size_t dim, const WindowSpec& window,
+                                 const SketchConfig& c) {
+  return Bind<BestRankK>(dim, window, c.ell);
 }
 
 // Resolves SketchConfig::amm_dim_a against the stacked dimension.
@@ -54,134 +169,154 @@ Result<size_t> ResolveAmmDimA(size_t dim, const SketchConfig& config) {
   return dim_a;
 }
 
+Result<BoundBackend> ResolveAmmExact(size_t dim, const WindowSpec& window,
+                                     const SketchConfig& c) {
+  auto dim_a = ResolveAmmDimA(dim, c);
+  if (!dim_a.ok()) return dim_a.status();
+  return Bind<AmmExact>(*dim_a, dim - *dim_a, window,
+                        AmmSketch::MetricSet(MetricScope("amm")));
+}
+
+// An AMM wrapper over the backend `Inner` resolves, run at the stacked
+// dimension. The inner row resolves once, here; every instance then gets a
+// fresh inner sketch on the heap behind the fixed-size wrapper (its size
+// varies by backend, so only the wrapper takes part in the slab contract).
+template <Result<BoundBackend> (*Inner)(size_t, const WindowSpec&,
+                                        const SketchConfig&)>
+Result<BoundBackend> ResolveAmmStacked(size_t dim, const WindowSpec& window,
+                                       const SketchConfig& c) {
+  auto dim_a = ResolveAmmDimA(dim, c);
+  if (!dim_a.ok()) return dim_a.status();
+  auto inner = Inner(dim, window, c);
+  if (!inner.ok()) return inner.status();
+  return BoundBackend{
+      [dim_a = *dim_a, dim_b = dim - *dim_a, inner = inner.take(),
+       metrics = AmmSketch::MetricSet(MetricScope("amm"))](void* mem) {
+        return Place<AmmStacked>(
+            mem, dim_a, dim_b,
+            std::unique_ptr<SlidingWindowSketch>(inner.construct(nullptr)),
+            metrics);
+      },
+      sizeof(AmmStacked), alignof(AmmStacked)};
+}
+
+constexpr BackendRow kBackends[] = {
+    {.name = "swr",
+     .resolve = ResolveSwr,
+     .wire_tag = SwrSketch::kSerialTag,
+     .load = Load<SwrSketch>},
+    {.name = "swor",
+     .resolve = ResolveSwor<SworSketch::QueryMode::kTopEll>,
+     .wire_tag = SworSketch::kSerialTag,
+     .load = Load<SworSketch>},
+    {.name = "swor-all",
+     .resolve = ResolveSwor<SworSketch::QueryMode::kAll>,
+     .load = Load<SworSketch>},
+    {.name = "lm-fd",
+     .resolve = ResolveLmFd,
+     .wire_tag = LmFd::kSerialTag,
+     .load = Load<LmFd>,
+     .reduce = QueryReduceKind::kFdMerge,
+     .reduce_ell_factor = 1},
+    {.name = "ds-fd",
+     .resolve = ResolveDsFd,
+     .wire_tag = DsFd::kSerialTag,
+     .load = Load<DsFd>,
+     .reduce = QueryReduceKind::kFdMerge,
+     .reduce_ell_factor = 1},
+    {.name = "lm-hash",
+     .resolve = ResolveLmHash,
+     .wire_tag = LmHash::kSerialTag,
+     .load = Load<LmHash>,
+     .reduce = QueryReduceKind::kSum},
+    {.name = "lm-rp", .resolve = ResolveLmRp, .reduce = QueryReduceKind::kSum},
+    // A DI cover carries up to ~2 * ell rows, so the reduce keeps 2 * ell
+    // rather than discard accuracy the shards paid for.
+    {.name = "di-fd",
+     .sequence_only = true,
+     .resolve = ResolveDiFd,
+     .wire_tag = DiFd::kSerialTag,
+     .load = Load<DiFd>,
+     .reduce = QueryReduceKind::kFdMerge,
+     .reduce_ell_factor = 2},
+    {.name = "di-rp", .sequence_only = true, .resolve = ResolveDiRp},
+    {.name = "di-hash", .sequence_only = true, .resolve = ResolveDiHash},
+    {.name = "exact", .resolve = ResolveExact},
+    {.name = "best", .resolve = ResolveBest},
+    {.name = "amm-exact",
+     .resolve = ResolveAmmExact,
+     .wire_tag = AmmExact::kSerialTag,
+     .load = Load<AmmExact>},
+    // The stacked wrappers' Query() is the [A | B] approximation, so
+    // FD-merging shard outputs at the stacked dimension preserves the
+    // co-sketch product bound exactly like the covariance bound; each
+    // follows its inner backend's route.
+    {.name = "amm-co-fd",
+     .resolve = ResolveAmmStacked<ResolveDsFd>,
+     .wire_tag = AmmStacked::kSerialTag,
+     .load = Load<AmmStacked>,
+     .reduce = QueryReduceKind::kFdMerge,
+     .reduce_ell_factor = 1},
+    {.name = "amm-lm-fd",
+     .resolve = ResolveAmmStacked<ResolveLmFd>,
+     .load = Load<AmmStacked>,
+     .reduce = QueryReduceKind::kFdMerge,
+     .reduce_ell_factor = 1},
+    {.name = "amm-di-fd",
+     .sequence_only = true,
+     .resolve = ResolveAmmStacked<ResolveDiFd>,
+     .load = Load<AmmStacked>,
+     .reduce = QueryReduceKind::kFdMerge,
+     .reduce_ell_factor = 2},
+};
+
+const BackendRow* FindRow(std::string_view name) {
+  for (const BackendRow& row : kBackends) {
+    if (row.name == name) return &row;
+  }
+  return nullptr;
+}
+
+struct Resolution {
+  const BackendRow* row;
+  BoundBackend bound;
+};
+
+Result<Resolution> Resolve(size_t dim, const WindowSpec& window,
+                           const SketchConfig& config) {
+  if (dim == 0) return Status::InvalidArgument("dim must be positive");
+  if (config.ell == 0) return Status::InvalidArgument("ell must be positive");
+  const BackendRow* row = FindRow(config.algorithm);
+  if (row == nullptr) {
+    return Status::InvalidArgument("unknown algorithm: " + config.algorithm);
+  }
+  if (row->sequence_only && window.type() != WindowType::kSequence) {
+    return Status::InvalidArgument(
+        config.algorithm +
+        " supports sequence-based windows only (Section 7)");
+  }
+  auto bound = row->resolve(dim, window, config);
+  if (!bound.ok()) return bound.status();
+  return Resolution{row, bound.take()};
+}
+
 }  // namespace
+
+std::span<const BackendRow> Backends() { return kBackends; }
 
 Result<std::unique_ptr<SlidingWindowSketch>> MakeSlidingWindowSketch(
     size_t dim, WindowSpec window, const SketchConfig& config) {
-  if (dim == 0) return Status::InvalidArgument("dim must be positive");
-  if (config.ell == 0) return Status::InvalidArgument("ell must be positive");
-  const std::string& a = config.algorithm;
-
-  if (a == "swr") {
-    return std::unique_ptr<SlidingWindowSketch>(new SwrSketch(
-        dim, window,
-        SwrSketch::Options{.ell = config.ell,
-                           .frobenius_eps = config.frobenius_eps,
-                           .exact_frobenius = config.exact_frobenius,
-                           .seed = config.seed}));
-  }
-  if (a == "swor" || a == "swor-all") {
-    return std::unique_ptr<SlidingWindowSketch>(new SworSketch(
-        dim, window,
-        SworSketch::Options{
-            .ell = config.ell,
-            .query_mode = a == "swor-all" ? SworSketch::QueryMode::kAll
-                                          : SworSketch::QueryMode::kTopEll,
-            .frobenius_eps = config.frobenius_eps,
-            .exact_frobenius = config.exact_frobenius,
-            .seed = config.seed}));
-  }
-  if (a == "lm-fd") {
-    return std::unique_ptr<SlidingWindowSketch>(new LmFd(
-        dim, window,
-        LmFd::Options{.ell = config.ell,
-                      .blocks_per_level = config.blocks_per_level,
-                      .block_capacity = config.lm_block_capacity,
-                      .fd_buffer_factor = config.fd_buffer_factor}));
-  }
-  if (a == "ds-fd") {
-    return std::unique_ptr<SlidingWindowSketch>(new DsFd(
-        dim, window,
-        DsFd::Options{.ell = config.ell,
-                      .snapshots_per_window = config.ds_snapshots_per_window,
-                      .snapshot_trunc = config.ds_snapshot_trunc,
-                      .frame_ell_factor = config.ds_frame_ell_factor,
-                      .fd_buffer_factor = config.ds_fd_buffer_factor,
-                      .frobenius_eps = config.frobenius_eps,
-                      .exact_frobenius = config.exact_frobenius}));
-  }
-  if (a == "lm-rp") {
-    return std::unique_ptr<SlidingWindowSketch>(new LmRp(
-        dim, window,
-        LmRp::Options{.ell = config.ell,
-                      .blocks_per_level = config.blocks_per_level,
-                      .block_capacity = config.lm_block_capacity,
-                      .seed = config.seed}));
-  }
-  if (a == "lm-hash") {
-    return std::unique_ptr<SlidingWindowSketch>(new LmHash(
-        dim, window,
-        LmHash::Options{.ell = config.ell,
-                        .blocks_per_level = config.blocks_per_level,
-                        .block_capacity = config.lm_block_capacity,
-                        .seed = config.seed}));
-  }
-  if (a == "di-fd") {
-    if (Status s = RequireSequence(window, a); !s.ok()) return s;
-    return std::unique_ptr<SlidingWindowSketch>(new DiFd(
-        dim, DiFd::Options{
-                 .levels = config.levels,
-                 .window_size = static_cast<uint64_t>(window.extent()),
-                 .max_norm_sq = config.max_norm_sq,
-                 .ell_top = config.ell,
-                 .fd_buffer_factor = config.fd_buffer_factor}));
-  }
-  if (a == "di-rp") {
-    if (Status s = RequireSequence(window, a); !s.ok()) return s;
-    return std::unique_ptr<SlidingWindowSketch>(new DiRp(
-        dim, DiRp::Options{
-                 .levels = config.levels,
-                 .window_size = static_cast<uint64_t>(window.extent()),
-                 .max_norm_sq = config.max_norm_sq,
-                 .ell_top = config.ell,
-                 .seed = config.seed}));
-  }
-  if (a == "di-hash") {
-    if (Status s = RequireSequence(window, a); !s.ok()) return s;
-    return std::unique_ptr<SlidingWindowSketch>(new DiHash(
-        dim, DiHash::Options{
-                 .levels = config.levels,
-                 .window_size = static_cast<uint64_t>(window.extent()),
-                 .max_norm_sq = config.max_norm_sq,
-                 .ell_top = config.ell,
-                 .seed = config.seed}));
-  }
-  if (a == "exact") {
-    return std::unique_ptr<SlidingWindowSketch>(new ExactWindow(dim, window));
-  }
-  if (a == "best") {
-    return std::unique_ptr<SlidingWindowSketch>(
-        new BestRankK(dim, window, config.ell));
-  }
-  if (const std::string inner_algo = AmmInnerAlgorithm(a);
-      !inner_algo.empty()) {
-    auto dim_a = ResolveAmmDimA(dim, config);
-    if (!dim_a.ok()) return dim_a.status();
-    if (a == "amm-exact") {
-      return std::unique_ptr<SlidingWindowSketch>(
-          new AmmExact(*dim_a, dim - *dim_a, window));
-    }
-    SketchConfig inner_config = config;
-    inner_config.algorithm = inner_algo;
-    auto inner = MakeSlidingWindowSketch(dim, window, inner_config);
-    if (!inner.ok()) return inner.status();
-    return std::unique_ptr<SlidingWindowSketch>(
-        new AmmStacked(*dim_a, dim - *dim_a, inner.take()));
-  }
-  return Status::InvalidArgument("unknown algorithm: " + a);
-}
-
-namespace {
-
-template <typename T>
-Result<std::unique_ptr<SlidingWindowSketch>> LoadAs(ByteReader* reader) {
-  auto loaded = T::Deserialize(reader);
-  if (!loaded.ok()) return loaded.status();
+  auto resolved = Resolve(dim, window, config);
+  if (!resolved.ok()) return resolved.status();
   return std::unique_ptr<SlidingWindowSketch>(
-      std::make_unique<T>(std::move(loaded.take())));
+      resolved->bound.construct(nullptr));
 }
 
-}  // namespace
+std::vector<std::string> KnownAlgorithms() {
+  std::vector<std::string> names;
+  for (const BackendRow& row : kBackends) names.emplace_back(row.name);
+  return names;
+}
 
 Result<std::unique_ptr<SlidingWindowSketch>> DeserializeSlidingWindowSketch(
     ByteReader* reader) {
@@ -189,272 +324,31 @@ Result<std::unique_ptr<SlidingWindowSketch>> DeserializeSlidingWindowSketch(
   if (!reader->Peek(&tag)) {
     return Status::InvalidArgument("empty sketch payload");
   }
-  switch (tag) {
-    case SwrSketch::kSerialTag: return LoadAs<SwrSketch>(reader);
-    case SworSketch::kSerialTag: return LoadAs<SworSketch>(reader);
-    case LmFd::kSerialTag: return LoadAs<LmFd>(reader);
-    case LmHash::kSerialTag: return LoadAs<LmHash>(reader);
-    case DiFd::kSerialTag: return LoadAs<DiFd>(reader);
-    case DsFd::kSerialTag: return LoadAs<DsFd>(reader);
-    case AmmExact::kSerialTag: return LoadAs<AmmExact>(reader);
-    case AmmStacked::kSerialTag: return LoadAs<AmmStacked>(reader);
-    default:
-      return Status::InvalidArgument("unknown sketch serialization tag");
+  for (const BackendRow& row : kBackends) {
+    if (row.wire_tag == 0 || row.wire_tag != tag) continue;
+    auto loaded = row.load(nullptr, reader);
+    if (!loaded.ok()) return loaded.status();
+    return std::unique_ptr<SlidingWindowSketch>(*loaded);
   }
+  return Status::InvalidArgument("unknown sketch serialization tag");
 }
 
-namespace {
-
-// Placement counterpart of LoadAs: deserializes T and move-constructs it
-// into caller storage. On a corrupt payload nothing is constructed.
-template <typename T>
-Result<SlidingWindowSketch*> PlacementLoad(void* mem, ByteReader* reader) {
-  auto loaded = T::Deserialize(reader);
-  if (!loaded.ok()) return loaded.status();
-  return static_cast<SlidingWindowSketch*>(
-      new (mem) T(std::move(loaded.take())));
+QueryReduceSpec ReduceSpecFor(const std::string& algorithm, size_t ell) {
+  const BackendRow* row = FindRow(algorithm);
+  if (row == nullptr) return {};
+  return {row->reduce, row->reduce_ell_factor * ell};
 }
-
-}  // namespace
 
 Result<SketchPrototype> SketchPrototype::Make(size_t dim, WindowSpec window,
                                               const SketchConfig& config) {
-  if (dim == 0) return Status::InvalidArgument("dim must be positive");
-  if (config.ell == 0) return Status::InvalidArgument("ell must be positive");
-  const std::string& a = config.algorithm;
-
+  auto resolved = Resolve(dim, window, config);
+  if (!resolved.ok()) return resolved.status();
   SketchPrototype proto;
+  proto.bound_ = std::move(resolved->bound);
+  proto.load_ = resolved->row->load;
   proto.dim_ = dim;
   proto.window_ = window;
-
-  // Per-branch: record the instance footprint, build a construct lambda
-  // that captures everything resolved here (options struct, metric
-  // handles, shared FD scratch) by value, and point deserialize_ at the
-  // type's placement loader when the algorithm serializes.
-  if (a == "swr") {
-    SwrSketch::Options options{.ell = config.ell,
-                               .frobenius_eps = config.frobenius_eps,
-                               .exact_frobenius = config.exact_frobenius,
-                               .seed = config.seed};
-    proto.size_ = sizeof(SwrSketch);
-    proto.align_ = alignof(SwrSketch);
-    proto.construct_ = [dim, window, options](void* mem) {
-      return static_cast<SlidingWindowSketch*>(
-          new (mem) SwrSketch(dim, window, options));
-    };
-    proto.deserialize_ = &PlacementLoad<SwrSketch>;
-    return proto;
-  }
-  if (a == "swor" || a == "swor-all") {
-    SworSketch::Options options{
-        .ell = config.ell,
-        .query_mode = a == "swor-all" ? SworSketch::QueryMode::kAll
-                                      : SworSketch::QueryMode::kTopEll,
-        .frobenius_eps = config.frobenius_eps,
-        .exact_frobenius = config.exact_frobenius,
-        .seed = config.seed};
-    proto.size_ = sizeof(SworSketch);
-    proto.align_ = alignof(SworSketch);
-    proto.construct_ = [dim, window, options](void* mem) {
-      return static_cast<SlidingWindowSketch*>(
-          new (mem) SworSketch(dim, window, options));
-    };
-    proto.deserialize_ = &PlacementLoad<SworSketch>;
-    return proto;
-  }
-  if (a == "lm-fd") {
-    LmFd::Options options{.ell = config.ell,
-                          .blocks_per_level = config.blocks_per_level,
-                          .block_capacity = config.lm_block_capacity,
-                          .fd_buffer_factor = config.fd_buffer_factor};
-    auto metrics =
-        std::make_shared<LogarithmicMethod<FrequentDirections>::MetricSet>(
-            MetricScope(MetricScope::Slug("LM-FD")));
-    auto scratch = FrequentDirections::MakeShrinkScratch();
-    proto.size_ = sizeof(LmFd);
-    proto.align_ = alignof(LmFd);
-    proto.construct_ = [dim, window, options, metrics, scratch](void* mem) {
-      return static_cast<SlidingWindowSketch*>(
-          new (mem) LmFd(dim, window, options, *metrics, scratch));
-    };
-    proto.deserialize_ = &PlacementLoad<LmFd>;
-    return proto;
-  }
-  if (a == "ds-fd") {
-    DsFd::Options options{.ell = config.ell,
-                          .snapshots_per_window =
-                              config.ds_snapshots_per_window,
-                          .snapshot_trunc = config.ds_snapshot_trunc,
-                          .frame_ell_factor = config.ds_frame_ell_factor,
-                          .fd_buffer_factor = config.ds_fd_buffer_factor,
-                          .frobenius_eps = config.frobenius_eps,
-                          .exact_frobenius = config.exact_frobenius};
-    auto metrics = std::make_shared<DsFd::MetricSet>(
-        MetricScope(MetricScope::Slug("DS-FD")));
-    auto scratch = FrequentDirections::MakeShrinkScratch();
-    proto.size_ = sizeof(DsFd);
-    proto.align_ = alignof(DsFd);
-    proto.construct_ = [dim, window, options, metrics, scratch](void* mem) {
-      return static_cast<SlidingWindowSketch*>(
-          new (mem) DsFd(dim, window, options, *metrics, scratch));
-    };
-    proto.deserialize_ = &PlacementLoad<DsFd>;
-    return proto;
-  }
-  if (a == "lm-hash") {
-    LmHash::Options options{.ell = config.ell,
-                            .blocks_per_level = config.blocks_per_level,
-                            .block_capacity = config.lm_block_capacity,
-                            .seed = config.seed};
-    auto metrics = std::make_shared<LogarithmicMethod<HashSketch>::MetricSet>(
-        MetricScope(MetricScope::Slug("LM-HASH")));
-    proto.size_ = sizeof(LmHash);
-    proto.align_ = alignof(LmHash);
-    proto.construct_ = [dim, window, options, metrics](void* mem) {
-      return static_cast<SlidingWindowSketch*>(
-          new (mem) LmHash(dim, window, options, *metrics));
-    };
-    proto.deserialize_ = &PlacementLoad<LmHash>;
-    return proto;
-  }
-  if (a == "lm-rp") {
-    LmRp::Options options{.ell = config.ell,
-                          .blocks_per_level = config.blocks_per_level,
-                          .block_capacity = config.lm_block_capacity,
-                          .seed = config.seed};
-    proto.size_ = sizeof(LmRp);
-    proto.align_ = alignof(LmRp);
-    proto.construct_ = [dim, window, options](void* mem) {
-      return static_cast<SlidingWindowSketch*>(
-          new (mem) LmRp(dim, window, options));
-    };
-    return proto;
-  }
-  if (a == "di-fd") {
-    if (Status s = RequireSequence(window, a); !s.ok()) return s;
-    DiFd::Options options{.levels = config.levels,
-                          .window_size =
-                              static_cast<uint64_t>(window.extent()),
-                          .max_norm_sq = config.max_norm_sq,
-                          .ell_top = config.ell,
-                          .fd_buffer_factor = config.fd_buffer_factor};
-    auto metrics =
-        std::make_shared<DyadicInterval<FrequentDirections>::MetricSet>(
-            MetricScope(MetricScope::Slug("DI-FD")));
-    auto scratch = FrequentDirections::MakeShrinkScratch();
-    proto.size_ = sizeof(DiFd);
-    proto.align_ = alignof(DiFd);
-    proto.construct_ = [dim, options, metrics, scratch](void* mem) {
-      return static_cast<SlidingWindowSketch*>(
-          new (mem) DiFd(dim, options, *metrics, scratch));
-    };
-    proto.deserialize_ = &PlacementLoad<DiFd>;
-    return proto;
-  }
-  if (a == "di-rp") {
-    if (Status s = RequireSequence(window, a); !s.ok()) return s;
-    DiRp::Options options{.levels = config.levels,
-                          .window_size =
-                              static_cast<uint64_t>(window.extent()),
-                          .max_norm_sq = config.max_norm_sq,
-                          .ell_top = config.ell,
-                          .seed = config.seed};
-    proto.size_ = sizeof(DiRp);
-    proto.align_ = alignof(DiRp);
-    proto.construct_ = [dim, options](void* mem) {
-      return static_cast<SlidingWindowSketch*>(new (mem) DiRp(dim, options));
-    };
-    return proto;
-  }
-  if (a == "di-hash") {
-    if (Status s = RequireSequence(window, a); !s.ok()) return s;
-    DiHash::Options options{.levels = config.levels,
-                            .window_size =
-                                static_cast<uint64_t>(window.extent()),
-                            .max_norm_sq = config.max_norm_sq,
-                            .ell_top = config.ell,
-                            .seed = config.seed};
-    proto.size_ = sizeof(DiHash);
-    proto.align_ = alignof(DiHash);
-    proto.construct_ = [dim, options](void* mem) {
-      return static_cast<SlidingWindowSketch*>(
-          new (mem) DiHash(dim, options));
-    };
-    return proto;
-  }
-  if (a == "exact") {
-    proto.size_ = sizeof(ExactWindow);
-    proto.align_ = alignof(ExactWindow);
-    proto.construct_ = [dim, window](void* mem) {
-      return static_cast<SlidingWindowSketch*>(
-          new (mem) ExactWindow(dim, window));
-    };
-    return proto;
-  }
-  if (a == "best") {
-    const size_t k = config.ell;
-    proto.size_ = sizeof(BestRankK);
-    proto.align_ = alignof(BestRankK);
-    proto.construct_ = [dim, window, k](void* mem) {
-      return static_cast<SlidingWindowSketch*>(
-          new (mem) BestRankK(dim, window, k));
-    };
-    return proto;
-  }
-  if (const std::string inner_algo = AmmInnerAlgorithm(a);
-      !inner_algo.empty()) {
-    auto dim_a_r = ResolveAmmDimA(dim, config);
-    if (!dim_a_r.ok()) return dim_a_r.status();
-    const size_t dim_a = *dim_a_r;
-    const size_t dim_b = dim - dim_a;
-    // The amm.* handles resolve once here; the wrapped stacked backend
-    // still resolves its own scoped handles per instance inside its
-    // constructor — same registry names, so tenants share them anyway.
-    auto metrics = std::make_shared<AmmSketch::MetricSet>(MetricScope("amm"));
-    if (a == "amm-exact") {
-      proto.size_ = sizeof(AmmExact);
-      proto.align_ = alignof(AmmExact);
-      proto.construct_ = [dim_a, dim_b, window, metrics](void* mem) {
-        return static_cast<SlidingWindowSketch*>(
-            new (mem) AmmExact(dim_a, dim_b, window, *metrics));
-      };
-      proto.deserialize_ = &PlacementLoad<AmmExact>;
-      return proto;
-    }
-    if (inner_algo == "di-fd") {
-      if (Status s = RequireSequence(window, a); !s.ok()) return s;
-    }
-    SketchConfig inner_config = config;
-    inner_config.algorithm = inner_algo;
-    // Probe-build one underlying sketch now so the construct lambda's
-    // CHECK can never fire: any config error surfaces here as a Status.
-    if (auto probe = MakeSlidingWindowSketch(dim, window, inner_config);
-        !probe.ok()) {
-      return probe.status();
-    }
-    proto.size_ = sizeof(AmmStacked);
-    proto.align_ = alignof(AmmStacked);
-    // The underlying sketch lives on the heap behind the slab-resident
-    // wrapper: its size varies by backend, so only the fixed-size wrapper
-    // participates in the arena slab contract.
-    proto.construct_ = [dim, dim_a, dim_b, window, inner_config,
-                        metrics](void* mem) {
-      auto inner = MakeSlidingWindowSketch(dim, window, inner_config);
-      SWSKETCH_CHECK(inner.ok());  // Validated when the prototype was made.
-      return static_cast<SlidingWindowSketch*>(
-          new (mem) AmmStacked(dim_a, dim_b, inner.take(), *metrics));
-    };
-    proto.deserialize_ = &PlacementLoad<AmmStacked>;
-    return proto;
-  }
-  return Status::InvalidArgument("unknown algorithm: " + a);
-}
-
-std::vector<std::string> KnownAlgorithms() {
-  return {"swr",      "swor",  "swor-all",  "lm-fd",     "ds-fd",
-          "lm-hash",  "lm-rp", "di-fd",     "di-rp",     "di-hash",
-          "exact",    "best",  "amm-exact", "amm-co-fd", "amm-lm-fd",
-          "amm-di-fd"};
+  return proto;
 }
 
 }  // namespace swsketch

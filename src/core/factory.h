@@ -1,14 +1,19 @@
 // Name-based construction of sliding-window sketches, used by benches,
-// examples and integration tests to sweep algorithms uniformly.
+// examples and integration tests to sweep algorithms uniformly. One table
+// row per backend drives construction, arena stamping, reload and the
+// sharded query reduce.
 #ifndef SWSKETCH_CORE_FACTORY_H_
 #define SWSKETCH_CORE_FACTORY_H_
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/merge_reduce.h"
 #include "core/sliding_window_sketch.h"
 #include "util/serialize.h"
 #include "util/status.h"
@@ -18,10 +23,9 @@ namespace swsketch {
 /// Union of the knobs of every algorithm; each algorithm reads the subset
 /// it understands.
 struct SketchConfig {
-  /// One of: swr, swor, swor-all, lm-fd, ds-fd, lm-hash, lm-rp, di-fd,
-  /// di-rp, di-hash, exact, best, or a two-operand AMM backend:
-  /// amm-exact, amm-co-fd, amm-lm-fd, amm-di-fd (src/amm/). AMM sketches
-  /// run at the stacked dimension d = d_a + d_b; see amm_dim_a.
+  /// One of KnownAlgorithms(). The amm-* names are two-operand AMM
+  /// backends (src/amm/) that run at the stacked dimension d = d_a + d_b;
+  /// see amm_dim_a.
   std::string algorithm = "lm-fd";
 
   /// Sample count (samplers), FD rows per block (LM-FD), top-level size
@@ -84,25 +88,66 @@ struct SketchConfig {
   uint64_t seed = 1;
 };
 
+/// A backend resolved against one (dim, window, config): its constructor
+/// with options, metric handles and (FD-backed backends) one shrink
+/// workspace bound in. `construct(nullptr)` heap-allocates an instance
+/// (release it with `delete`); `construct(mem)` placement-constructs into
+/// `size` bytes at `align` alignment.
+struct BoundBackend {
+  std::function<SlidingWindowSketch*(void* mem)> construct;
+  size_t size = 0;
+  size_t align = 0;
+};
+
+/// One row of the backend table: everything the factory, the reload path
+/// and the sharded query reduce know about one algorithm name.
+struct BackendRow {
+  /// The SketchConfig::algorithm name.
+  std::string_view name;
+  /// DI-based backends support sequence-based windows only (Section 7).
+  bool sequence_only = false;
+  /// Resolves the config into options, metric handles and shrink scratch.
+  Result<BoundBackend> (*resolve)(size_t dim, const WindowSpec& window,
+                                  const SketchConfig& config) = nullptr;
+  /// Serialized tag DeserializeSlidingWindowSketch dispatches to this row;
+  /// 0 when the payload carries a sibling row's tag (swor-all writes
+  /// swor's, and the stacked AMM wrappers share amm-co-fd's).
+  uint32_t wire_tag = 0;
+  /// Reloads a payload into `mem` (nullptr: onto the heap); nullptr when
+  /// the backend does not serialize. On error nothing is constructed.
+  Result<SlidingWindowSketch*> (*load)(void* mem, ByteReader*) = nullptr;
+  /// Shard-query reduction; kFdMerge keeps reduce_ell_factor * ell rows.
+  QueryReduceKind reduce = QueryReduceKind::kStack;
+  size_t reduce_ell_factor = 0;
+};
+
+/// The backend table, one row per sketch type.
+std::span<const BackendRow> Backends();
+
 /// Builds the sketch named by `config.algorithm`, or InvalidArgument for
 /// unknown names / incompatible window types (DI requires sequence
-/// windows).
+/// windows). Every instance gets its own shrink workspace.
 Result<std::unique_ptr<SlidingWindowSketch>> MakeSlidingWindowSketch(
     size_t dim, WindowSpec window, const SketchConfig& config);
 
-/// All algorithm names the factory accepts.
+/// All algorithm names the factory accepts, in table order.
 std::vector<std::string> KnownAlgorithms();
 
 /// Reloads a sketch serialized with SlidingWindowSketch::SerializeTo,
-/// dispatching on the serialized tag (SWR, SWOR, LM-FD, LM-HASH, DI-FD).
+/// dispatching on the serialized tag through the backend table.
 Result<std::unique_ptr<SlidingWindowSketch>> DeserializeSlidingWindowSketch(
     ByteReader* reader);
 
-/// Arena-aware construction hook: resolves one SketchConfig's algorithm
-/// dispatch, window validation and metric-registry handles ONCE, then
-/// stamps instances into caller-provided storage with placement new. A
+/// The shard-query reduction of a factory algorithm name (`ell` =
+/// SketchConfig::ell), read off its table row. Names outside the table get
+/// kStack, which decomposability makes correct for any sketch.
+QueryReduceSpec ReduceSpecFor(const std::string& algorithm, size_t ell);
+
+/// Arena-aware construction hook: resolves one SketchConfig's backend row,
+/// window validation and metric-registry handles ONCE, then stamps
+/// instances into caller-provided storage with placement new. A
 /// multi-tenant manager constructing 100k identical sketches pays the
-/// registry mutex and name dispatch once here instead of once per tenant,
+/// registry mutex and name lookup once here instead of once per tenant,
 /// and every FD-backed instance shares one shrink workspace (safe while
 /// instances are driven one at a time, which the owning manager
 /// guarantees; the workspace never influences results).
@@ -117,34 +162,34 @@ class SketchPrototype {
                                       const SketchConfig& config);
 
   /// Slab footprint of one instance (fixed per prototype).
-  size_t instance_size() const { return size_; }
-  size_t instance_align() const { return align_; }
+  size_t instance_size() const { return bound_.size; }
+  size_t instance_align() const { return bound_.align; }
 
   /// True when instances support SerializeTo / DeserializeAt (the
   /// algorithms DeserializeSlidingWindowSketch can reload).
-  bool serializable() const { return deserialize_ != nullptr; }
+  bool serializable() const { return load_ != nullptr; }
 
   size_t dim() const { return dim_; }
   const WindowSpec& window() const { return window_; }
 
   /// Placement-constructs a fresh empty sketch into `mem`.
-  SlidingWindowSketch* ConstructAt(void* mem) const { return construct_(mem); }
+  SlidingWindowSketch* ConstructAt(void* mem) const {
+    return bound_.construct(mem);
+  }
 
   /// Placement-deserializes a sketch previously written with SerializeTo
   /// into `mem`. On error nothing is constructed and `mem` stays free.
   /// Requires serializable().
   Result<SlidingWindowSketch*> DeserializeAt(void* mem,
                                              ByteReader* reader) const {
-    return deserialize_(mem, reader);
+    return load_(mem, reader);
   }
 
  private:
   SketchPrototype() = default;
 
-  std::function<SlidingWindowSketch*(void*)> construct_;
-  Result<SlidingWindowSketch*> (*deserialize_)(void*, ByteReader*) = nullptr;
-  size_t size_ = 0;
-  size_t align_ = 0;
+  BoundBackend bound_;
+  Result<SlidingWindowSketch*> (*load_)(void*, ByteReader*) = nullptr;
   size_t dim_ = 0;
   WindowSpec window_ = WindowSpec::Sequence(1);
 };

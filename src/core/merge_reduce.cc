@@ -7,23 +7,6 @@
 
 namespace swsketch {
 
-QueryReduceSpec ReduceSpecFor(const std::string& algorithm, size_t ell) {
-  if (algorithm == "lm-fd" || algorithm == "ds-fd" ||
-      algorithm == "amm-co-fd" || algorithm == "amm-lm-fd") {
-    // AMM wrappers expose Query() as the stacked [A | B] approximation, so
-    // FD-merging shard outputs at the stacked dimension preserves the
-    // co-sketch product bound exactly like the covariance bound.
-    return {QueryReduceKind::kFdMerge, ell};
-  }
-  if (algorithm == "di-fd" || algorithm == "amm-di-fd") {
-    return {QueryReduceKind::kFdMerge, 2 * ell};
-  }
-  if (algorithm == "lm-hash" || algorithm == "lm-rp") {
-    return {QueryReduceKind::kSum, 0};
-  }
-  return {QueryReduceKind::kStack, 0};
-}
-
 Matrix CombineQueryPair(const QueryReduceSpec& spec, size_t dim,
                         const Matrix& a, const Matrix& b) {
   if (a.rows() == 0) return b;

@@ -16,6 +16,9 @@
 //    through one FD at reduce_ell rows sheds at most the sum of the
 //    operands' shed mass, so the merged bound telescopes up the tree.
 //
+// Each backend's route is a field of its row in the backend table
+// (core/factory.h, ReduceSpecFor).
+//
 // Determinism: CombineQueryPair is a pure function of its operands, and
 // TreeReduceQueries pairs nodes by index exactly like the PR 4 LM merge
 // tree (pairing depends only on the leaf count, never on scheduling), so
@@ -26,7 +29,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -45,15 +47,6 @@ struct QueryReduceSpec {
   /// kFdMerge only: rows the reduced sketch keeps (per-node FD size).
   size_t reduce_ell = 0;
 };
-
-/// The reduction for a factory algorithm name (`ell` = SketchConfig::ell):
-/// lm-fd / di-fd -> kFdMerge at ell / 2*ell rows (a DI cover carries up to
-/// ~2*ell rows, so halving it at the reduce would discard accuracy the
-/// shards paid for); lm-hash / lm-rp -> kSum; everything else -> kStack.
-/// FD-backed AMM wrappers (amm-co-fd / amm-lm-fd / amm-di-fd) follow their
-/// underlying backend — their Query() is the stacked [A | B] approximation,
-/// which FD-merges at the stacked dimension like any covariance sketch.
-QueryReduceSpec ReduceSpecFor(const std::string& algorithm, size_t ell);
 
 /// Combines the approximations of two disjoint sub-streams. Either operand
 /// may be empty (0 rows, the empty-window convention), in which case the

@@ -8,24 +8,8 @@
 namespace swsketch {
 namespace {
 
-// Static-scope "distributed." metrics: these entry points are free
-// functions / thin coordinators, so handles are cached once per process
-// instead of per instance.
-Counter* FdMergesCounter() {
-  static Counter* c =
-      MetricsRegistry::Global().GetCounter("distributed.fd_merges");
-  return c;
-}
-Counter* QueryStacksCounter() {
-  static Counter* c =
-      MetricsRegistry::Global().GetCounter("distributed.query_stacks");
-  return c;
-}
-Gauge* StackedRowsGauge() {
-  static Gauge* g =
-      MetricsRegistry::Global().GetGauge("distributed.stacked_rows");
-  return g;
-}
+// Static-scope "distributed." metrics: the coordinator is thin, so handles
+// are cached once per process instead of per instance.
 Counter* SwrUpdatesCounter() {
   static Counter* c =
       MetricsRegistry::Global().GetCounter("distributed.swr_updates");
@@ -38,28 +22,6 @@ Counter* SwrQueriesCounter() {
 }
 
 }  // namespace
-
-FrequentDirections MergeFrequentDirections(
-    std::span<const FrequentDirections* const> workers) {
-  SWSKETCH_CHECK_GT(workers.size(), 0u);
-  FdMergesCounter()->Add();
-  FrequentDirections merged(workers[0]->dim(), workers[0]->ell());
-  for (const FrequentDirections* w : workers) {
-    merged.MergeWith(*w);
-  }
-  return merged;
-}
-
-Matrix MergeWindowQueries(std::span<SlidingWindowSketch* const> workers) {
-  SWSKETCH_CHECK_GT(workers.size(), 0u);
-  QueryStacksCounter()->Add();
-  Matrix b(0, workers[0]->dim());
-  for (SlidingWindowSketch* w : workers) {
-    b = b.VStack(w->Query());
-  }
-  StackedRowsGauge()->Set(static_cast<int64_t>(b.rows()));
-  return b;
-}
 
 DistributedSwr::DistributedSwr(std::vector<SwrSketch*> workers)
     : workers_(std::move(workers)) {

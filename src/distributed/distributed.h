@@ -1,39 +1,20 @@
-// Distributed sliding-window sketching — the extension the paper lists as
-// future work (Section 9), built from the same primitives the paper's
-// frameworks rest on:
-//
-//  * mergeability (Section 6.1): Frequent Directions sketches from k
-//    workers merge into one sketch for the union stream within the summed
-//    error budgets — the distributed-streams setting of the paper's
-//    reference [21];
-//  * max-stability of priorities: norm-proportional priority samples from
-//    disjoint sub-streams combine by taking the highest-priority candidate
-//    per sample slot, yielding an exact SWR sample of the union window;
-//  * decomposability (Lemma 7.1): per-worker window approximations simply
-//    stack into an approximation of the union window, with additive error.
+// Distributed sliding-window sampling — the extension the paper lists as
+// future work (Section 9), built on the max-stability of priorities:
+// norm-proportional priority samples from disjoint sub-streams combine by
+// taking the highest-priority candidate per sample slot, yielding an exact
+// SWR sample of the union window. FD mergeability (Section 6.1) and
+// decomposability (Lemma 7.1) are the kFdMerge / kStack routes of
+// core/merge_reduce.h, which ShardedSketch applies to per-shard queries.
 #ifndef SWSKETCH_DISTRIBUTED_DISTRIBUTED_H_
 #define SWSKETCH_DISTRIBUTED_DISTRIBUTED_H_
 
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "core/sliding_window_sketch.h"
 #include "core/swr.h"
-#include "sketch/frequent_directions.h"
 
 namespace swsketch {
-
-/// Merges per-worker Frequent Directions sketches (equal dim and ell) into
-/// one sketch of the concatenated input. Workers are left untouched.
-FrequentDirections MergeFrequentDirections(
-    std::span<const FrequentDirections* const> workers);
-
-/// Stacks per-worker sliding-window approximations into an approximation
-/// of the union window (decomposability): B = [B_1; ...; B_k]. Valid for
-/// any sketch type; the covariance error is at most the sum of the
-/// workers' errors (each relative to its own sub-window mass).
-Matrix MergeWindowQueries(std::span<SlidingWindowSketch* const> workers);
 
 /// Coordinator for distributed SWR: each worker runs SwrSketch over its
 /// local sub-stream (same window spec, same ell, distinct seeds). A query

@@ -48,7 +48,8 @@ class ByteWriter {
 };
 
 /// Sequential byte source with bounds checking. After any failed read,
-/// ok() is false and all further reads fail.
+/// ok() is false and all further reads fail. Lengths are compared with
+/// the bytes remaining, so a crafted length cannot wrap the bound.
 class ByteReader {
  public:
   explicit ByteReader(std::span<const uint8_t> bytes) : bytes_(bytes) {}
@@ -56,7 +57,7 @@ class ByteReader {
   template <typename T>
   bool Get(T* out) {
     static_assert(std::is_trivially_copyable_v<T>);
-    if (!ok_ || pos_ + sizeof(T) > bytes_.size()) {
+    if (!ok_ || sizeof(T) > bytes_.size() - pos_) {
       ok_ = false;
       return false;
     }
@@ -67,7 +68,7 @@ class ByteReader {
 
   bool GetString(std::string* out) {
     uint64_t n = 0;
-    if (!Get(&n) || pos_ + n > bytes_.size()) {
+    if (!Get(&n) || n > bytes_.size() - pos_) {
       ok_ = false;
       return false;
     }
@@ -80,7 +81,7 @@ class ByteReader {
   bool GetVector(std::vector<T>* out) {
     static_assert(std::is_trivially_copyable_v<T>);
     uint64_t n = 0;
-    if (!Get(&n) || pos_ + n * sizeof(T) > bytes_.size()) {
+    if (!Get(&n) || n > (bytes_.size() - pos_) / sizeof(T)) {
       ok_ = false;
       return false;
     }

@@ -1,14 +1,12 @@
 // Tests for the distributed sketching extension (Section 9 future work):
-// mergeable FD across workers, stacked window queries, and max-stable
-// distributed SWR.
+// max-stable distributed SWR. FD merge and stacked window queries are
+// covered through core/merge_reduce in sharded_sketch_test.
 #include "distributed/distributed.h"
 
 #include <memory>
 
 #include <gtest/gtest.h>
 
-#include "core/factory.h"
-#include "eval/cov_err.h"
 #include "stream/window_buffer.h"
 #include "util/random.h"
 
@@ -19,63 +17,6 @@ std::vector<double> RandomRow(Rng* rng, size_t d) {
   std::vector<double> r(d);
   for (auto& v : r) v = rng->Gaussian();
   return r;
-}
-
-TEST(DistributedFdTest, MergedSketchCoversUnion) {
-  const size_t d = 14, ell = 12, workers = 4;
-  Rng rng(1);
-  std::vector<FrequentDirections> fds;
-  for (size_t w = 0; w < workers; ++w) fds.emplace_back(d, ell);
-  Matrix all(0, d);
-  for (int i = 0; i < 600; ++i) {
-    auto row = RandomRow(&rng, d);
-    fds[i % workers].Append(row, i);
-    all.AppendRow(row);
-  }
-  std::vector<const FrequentDirections*> ptrs;
-  for (auto& f : fds) ptrs.push_back(&f);
-  FrequentDirections merged = MergeFrequentDirections(ptrs);
-  EXPECT_LE(merged.RowsStored(), ell);
-  // Error within the merged certificate and the paper-style bound.
-  const double err = CovarianceErrorDense(all, merged.Approximation());
-  EXPECT_LE(err * all.FrobeniusNormSq(), merged.shed_mass() * (1 + 1e-9));
-  EXPECT_LE(err, 4.0 / static_cast<double>(ell) + 1e-9);
-}
-
-TEST(DistributedFdTest, SingleWorkerIsIdentity) {
-  Rng rng(2);
-  FrequentDirections fd(8, 6);
-  for (int i = 0; i < 100; ++i) fd.Append(RandomRow(&rng, 8), i);
-  const FrequentDirections* ptr = &fd;
-  FrequentDirections merged =
-      MergeFrequentDirections(std::span<const FrequentDirections* const>(
-          &ptr, 1));
-  EXPECT_TRUE(merged.Approximation().ApproxEquals(fd.Approximation(), 1e-12));
-}
-
-TEST(MergeWindowQueriesTest, StackedQueriesApproximateUnionWindow) {
-  // Two workers, each with an LM-FD over its sub-stream; stacking their B's
-  // approximates the union window by decomposability.
-  const size_t d = 10;
-  const uint64_t w = 300;
-  SketchConfig config;
-  config.algorithm = "lm-fd";
-  config.ell = 16;
-  auto s1 = MakeSlidingWindowSketch(d, WindowSpec::Sequence(w), config);
-  auto s2 = MakeSlidingWindowSketch(d, WindowSpec::Sequence(w), config);
-  ASSERT_TRUE(s1.ok() && s2.ok());
-  WindowBuffer union_buffer(WindowSpec::Sequence(2 * w));
-  Rng rng(3);
-  for (int i = 0; i < 1500; ++i) {
-    auto row = RandomRow(&rng, d);
-    ((i % 2) ? *s1 : *s2)->Update(row, static_cast<double>(i / 2));
-    union_buffer.Add(Row(row, i));
-  }
-  std::vector<SlidingWindowSketch*> ptrs{s1->get(), s2->get()};
-  const Matrix b = MergeWindowQueries(ptrs);
-  const double err = CovarianceError(union_buffer.GramMatrix(d),
-                                     union_buffer.FrobeniusNormSq(), b);
-  EXPECT_LT(err, 0.4);
 }
 
 TEST(DistributedSwrTest, QueryMatchesStructure) {

@@ -1,11 +1,14 @@
 // Round-trip tests for checkpoint/resume serialization across the stack:
 // after save + load, sketches must produce identical approximations and
 // continue identically on further updates.
+#include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/dyadic_interval.h"
+#include "core/factory.h"
 #include "core/logarithmic_method.h"
 #include "core/swor.h"
 #include "core/swr.h"
@@ -58,6 +61,57 @@ TEST(SerializeTest, TruncatedPayloadFailsCleanly) {
   EXPECT_FALSE(r2.GetVector(&v));
   EXPECT_FALSE(r2.ok());
   (void)r;
+}
+
+// Length prefixes whose byte count wraps size_t (n * 8 for 2^61 + 1, or
+// pos + n for 2^64 - 1) must fail the bounds check, not reach resize().
+TEST(SerializeTest, HugeLengthPrefixFailsCleanly) {
+  for (const uint64_t n : {(uint64_t{1} << 61) + 1, ~uint64_t{0}}) {
+    SCOPED_TRACE(n);
+    ByteWriter w;
+    w.Put<uint64_t>(n);
+    w.Put<uint64_t>(0);  // Payload, so a wrapped sum would fit.
+    {
+      ByteReader r(w.bytes());
+      std::vector<double> v;
+      EXPECT_FALSE(r.GetVector(&v));
+      EXPECT_FALSE(r.ok());
+    }
+    {
+      ByteReader r(w.bytes());
+      std::string str;
+      EXPECT_FALSE(r.GetString(&str));
+      EXPECT_FALSE(r.ok());
+    }
+  }
+}
+
+TEST(SerializeTest, SplicedLengthInSketchBlobRejected) {
+  const std::vector<double> row{0.5, -0.25, 0.125, 0.375};
+  SketchConfig config;
+  config.algorithm = "lm-fd";
+  config.ell = 4;
+  auto made = MakeSlidingWindowSketch(row.size(), WindowSpec::Sequence(50),
+                                      config);
+  ASSERT_TRUE(made.ok());
+  (*made)->Update(row, 1.0);
+  ByteWriter w;
+  ASSERT_TRUE((*made)->SerializeTo(&w).ok());
+  const std::vector<uint8_t>& bytes = w.bytes();
+
+  // The still-active row is stored as a length-prefixed value vector.
+  ByteWriter needle;
+  needle.PutVector(row);
+  const auto at = std::search(bytes.begin(), bytes.end(),
+                              needle.bytes().begin(), needle.bytes().end());
+  ASSERT_NE(at, bytes.end());
+  for (const uint64_t n : {(uint64_t{1} << 61) + 1, ~uint64_t{0}}) {
+    SCOPED_TRACE(n);
+    std::vector<uint8_t> spliced = bytes;
+    std::memcpy(spliced.data() + (at - bytes.begin()), &n, sizeof(n));
+    ByteReader r(spliced);
+    EXPECT_FALSE(DeserializeSlidingWindowSketch(&r).ok());
+  }
 }
 
 TEST(SerializeTest, MatrixRoundTrip) {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <set>
 #include <span>
@@ -20,6 +21,7 @@
 #include "core/factory.h"
 #include "core/merge_reduce.h"
 #include "eval/cov_err.h"
+#include "sketch/frequent_directions.h"
 #include "stream/window_buffer.h"
 #include "util/random.h"
 
@@ -345,13 +347,29 @@ TEST(ShardedSketchTest, ConcurrentSketchOverShardedPipeline) {
 
 // merge_reduce unit coverage: spec mapping and pair combiners.
 TEST(MergeReduceTest, SpecForAlgorithms) {
-  EXPECT_EQ(ReduceSpecFor("lm-fd", 16).kind, QueryReduceKind::kFdMerge);
-  EXPECT_EQ(ReduceSpecFor("lm-fd", 16).reduce_ell, 16u);
-  EXPECT_EQ(ReduceSpecFor("di-fd", 16).reduce_ell, 32u);
-  EXPECT_EQ(ReduceSpecFor("lm-hash", 16).kind, QueryReduceKind::kSum);
-  EXPECT_EQ(ReduceSpecFor("lm-rp", 16).kind, QueryReduceKind::kSum);
-  EXPECT_EQ(ReduceSpecFor("di-hash", 16).kind, QueryReduceKind::kStack);
-  EXPECT_EQ(ReduceSpecFor("exact", 16).kind, QueryReduceKind::kStack);
+  // One expected route per factory name, so a backend cannot reach the
+  // reduce layer on an implicit default.
+  const QueryReduceSpec stack{QueryReduceKind::kStack, 0};
+  const QueryReduceSpec sum{QueryReduceKind::kSum, 0};
+  const QueryReduceSpec fd{QueryReduceKind::kFdMerge, 16};
+  const QueryReduceSpec fd2{QueryReduceKind::kFdMerge, 32};
+  const std::map<std::string, QueryReduceSpec> expected = {
+      {"swr", stack},       {"swor", stack},      {"swor-all", stack},
+      {"lm-fd", fd},        {"ds-fd", fd},        {"lm-hash", sum},
+      {"lm-rp", sum},       {"di-fd", fd2},       {"di-rp", stack},
+      {"di-hash", stack},   {"exact", stack},     {"best", stack},
+      {"amm-exact", stack}, {"amm-co-fd", fd},    {"amm-lm-fd", fd},
+      {"amm-di-fd", fd2}};
+  const std::vector<std::string> names = KnownAlgorithms();
+  EXPECT_EQ(names.size(), expected.size());
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    const auto it = expected.find(name);
+    ASSERT_NE(it, expected.end()) << "no expected reduce route";
+    const QueryReduceSpec spec = ReduceSpecFor(name, 16);
+    EXPECT_EQ(spec.kind, it->second.kind);
+    EXPECT_EQ(spec.reduce_ell, it->second.reduce_ell);
+  }
 }
 
 TEST(MergeReduceTest, CombinersAndEmptyOperands) {
@@ -390,6 +408,72 @@ TEST(MergeReduceTest, TreeReduceMatchesSerialFold) {
   const Matrix reduced = TreeReduceQueries(stack, d, parts, nullptr);
   EXPECT_TRUE(reduced.ApproxEquals(expected, 0.0));
   EXPECT_EQ(TreeReduceQueries(stack, d, {}, nullptr).rows(), 0u);
+}
+
+// FD mergeability (Section 6.1): per-worker FD sketches tree-reduced at
+// ell rows cover the union stream. Every shrink removes at least the mass
+// it sheds from the covariance, and those losses add up the tree, so the
+// error stays within the union's total lost Frobenius mass.
+TEST(MergeReduceTest, FdMergeCoversUnionWithinSummedBound) {
+  const size_t d = 14, ell = 12, workers = 4;
+  Rng rng(1);
+  std::vector<FrequentDirections> fds;
+  for (size_t w = 0; w < workers; ++w) fds.emplace_back(d, ell);
+  Matrix all(0, d);
+  std::vector<double> row(d);
+  for (int i = 0; i < 600; ++i) {
+    for (auto& v : row) v = rng.Gaussian();
+    fds[i % workers].Append(row, i);
+    all.AppendRow(row);
+  }
+  std::vector<Matrix> parts;
+  for (const auto& f : fds) parts.push_back(f.Approximation());
+  const QueryReduceSpec fd{QueryReduceKind::kFdMerge, ell};
+  const Matrix b = TreeReduceQueries(fd, d, parts, nullptr);
+  EXPECT_LE(b.rows(), ell);
+  const double err = CovarianceErrorDense(all, b);
+  const double lost = all.FrobeniusNormSq() - b.FrobeniusNormSq();
+  EXPECT_LE(err * all.FrobeniusNormSq(), lost * (1 + 1e-9));
+  EXPECT_LE(err, 4.0 / static_cast<double>(ell) + 1e-9);
+}
+
+// A single operand passes through every route unchanged, and stacking two
+// workers' window answers approximates the union window
+// (decomposability, Lemma 7.1).
+TEST(MergeReduceTest, SingleOperandIsIdentityAndStackIsUnionWindow) {
+  const size_t d = 10;
+  const uint64_t w = 300;
+  SketchConfig config;
+  config.algorithm = "lm-fd";
+  config.ell = 16;
+  auto s1 = MakeSlidingWindowSketch(d, WindowSpec::Sequence(w), config);
+  auto s2 = MakeSlidingWindowSketch(d, WindowSpec::Sequence(w), config);
+  ASSERT_TRUE(s1.ok() && s2.ok());
+  WindowBuffer union_buffer(WindowSpec::Sequence(2 * w));
+  Rng rng(3);
+  std::vector<double> row(d);
+  for (int i = 0; i < 1500; ++i) {
+    for (auto& v : row) v = rng.Gaussian();
+    ((i % 2) ? *s1 : *s2)->Update(row, static_cast<double>(i / 2));
+    union_buffer.Add(Row(row, i));
+  }
+  const Matrix b1 = (*s1)->Query();
+  const Matrix b2 = (*s2)->Query();
+  const Matrix empty(0, d);
+  for (const QueryReduceSpec& spec :
+       {QueryReduceSpec{QueryReduceKind::kStack, 0},
+        QueryReduceSpec{QueryReduceKind::kSum, 0},
+        QueryReduceSpec{QueryReduceKind::kFdMerge, config.ell}}) {
+    EXPECT_TRUE(TreeReduceQueries(spec, d, {b1}, nullptr).ApproxEquals(b1, 0.0));
+    EXPECT_TRUE(CombineQueryPair(spec, d, b1, empty).ApproxEquals(b1, 0.0));
+  }
+
+  const QueryReduceSpec stack{QueryReduceKind::kStack, 0};
+  const Matrix b = TreeReduceQueries(stack, d, {b1, b2}, nullptr);
+  EXPECT_EQ(b.rows(), b1.rows() + b2.rows());
+  const double err = CovarianceError(union_buffer.GramMatrix(d),
+                                     union_buffer.FrobeniusNormSq(), b);
+  EXPECT_LT(err, 0.4);
 }
 
 }  // namespace
