@@ -114,6 +114,14 @@ class ConcurrentSketch : public SlidingWindowSketch {
     return inner_->Query();
   }
 
+  /// Drains the inner sketch (e.g. a ShardedSketch's writer queues) under
+  /// the writer mutex, so a following mutex-mode RowsStored()/Query()
+  /// observes every row already ingested.
+  void Flush() override {
+    std::lock_guard<std::mutex> lock(mu_);
+    inner_->Flush();
+  }
+
   size_t RowsStored() const override {
     if (mode_ == Mode::kSnapshot) return Snapshot()->rows_stored;
     std::lock_guard<std::mutex> lock(mu_);

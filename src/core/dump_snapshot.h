@@ -63,6 +63,7 @@
 #include "core/sliding_window_sketch.h"
 #include "linalg/jacobi_eigen.h"
 #include "sketch/frequent_directions.h"
+#include "util/memo.h"
 #include "util/metrics.h"
 #include "util/serialize.h"
 #include "util/status.h"
@@ -302,11 +303,7 @@ class DsFd : public SlidingWindowSketch {
   bool heavy_tail_warned_ = false;
 
   uint64_t mutation_version_ = 0;
-  uint64_t structure_version_ = 0;
-
-  bool result_valid_ = false;
-  uint64_t result_version_ = 0;
-  Matrix cached_result_;
+  Memo<uint64_t, Matrix> result_memo_;  // Keyed by mutation_version_.
 };
 
 }  // namespace swsketch

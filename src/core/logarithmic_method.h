@@ -43,6 +43,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -53,6 +54,7 @@
 #include "sketch/random_projection.h"
 #include "stream/row.h"
 #include "util/logging.h"
+#include "util/memo.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
 #include "util/serialize.h"
@@ -232,49 +234,32 @@ class LogarithmicMethod : public SlidingWindowSketch {
 
     // Final-result cache: nothing changed since the last query (same
     // structure, same live set, same active rows) — return the copy.
-    if (result_valid_ && result_version_ == structure_version_ &&
-        result_live_count_ == live_scratch_.size() &&
-        result_next_id_ == next_id_ &&
-        result_active_rows_ == active_.rows.size()) {
-      metrics_.query_cache_hits->Add();
-      return cached_result_;
-    }
-    metrics_.query_cache_misses->Add();
-
-    // Merged-blocks cache: under a fixed structure version the live set
-    // only shrinks as the window slides, so (version, count) pins it.
-    if (!cached_blocks_ || blocks_version_ != structure_version_ ||
-        blocks_live_count_ != live_scratch_.size()) {
-      metrics_.merge_cache_misses->Add();
-      cached_blocks_.emplace(MergeLiveBlocks());
-      blocks_version_ = structure_version_;
-      blocks_live_count_ = live_scratch_.size();
-    } else {
-      metrics_.merge_cache_hits->Add();
-    }
-
-    // Warm path: copy the merged closed blocks and replay the active rows
-    // — exactly the computation the cold path performs after its merge, so
-    // the result is byte-identical to an uncached query.
-    SketchT acc = *cached_blocks_;
-    for (const RawRow& rr : active_.rows) {
-      acc.Append(rr.row->view(), rr.id);
-    }
-    cached_result_ = acc.Approximation();
-    result_valid_ = true;
-    result_version_ = structure_version_;
-    result_live_count_ = live_scratch_.size();
-    result_next_id_ = next_id_;
-    result_active_rows_ = active_.rows.size();
-    return cached_result_;
+    const size_t live = live_scratch_.size();
+    return result_memo_.Get(
+        {structure_version_, live, next_id_, active_.rows.size()},
+        metrics_.query_cache_hits, metrics_.query_cache_misses, [&] {
+          // Merged-blocks cache: under a fixed structure version the live
+          // set only shrinks as the window slides, so (version, count)
+          // pins it. Warm path: copy the merged closed blocks and replay
+          // the active rows — exactly the computation the cold path
+          // performs after its merge, so the result is byte-identical to
+          // an uncached query.
+          SketchT acc = blocks_memo_.Get(
+              {structure_version_, live}, metrics_.merge_cache_hits,
+              metrics_.merge_cache_misses,
+              [this] { return MergeLiveBlocks(); });
+          for (const RawRow& rr : active_.rows) {
+            acc.Append(rr.row->view(), rr.id);
+          }
+          return acc.Approximation();
+        });
   }
 
   /// Drops the cached merged blocks and cached result so the next Query()
   /// takes the cold path (bench/test hook; behaviour is unchanged).
   void InvalidateQueryCache() {
-    cached_blocks_.reset();
-    result_valid_ = false;
-    cached_result_ = Matrix(0, dim_);
+    blocks_memo_.Reset();
+    result_memo_.Reset();
   }
 
   /// Structure version: bumped whenever a block closes, merges up a level,
@@ -589,15 +574,8 @@ class LogarithmicMethod : public SlidingWindowSketch {
   uint64_t structure_version_ = 0;
   uint64_t mutation_version_ = 0;  // Every Update/AdvanceTo/reload.
   std::vector<const Block*> live_scratch_;  // Rebuilt by every Query().
-  std::optional<SketchT> cached_blocks_;    // Merged live closed blocks.
-  uint64_t blocks_version_ = 0;
-  size_t blocks_live_count_ = 0;
-  Matrix cached_result_{0, 0};  // Guarded by result_valid_.
-  bool result_valid_ = false;
-  uint64_t result_version_ = 0;
-  size_t result_live_count_ = 0;
-  uint64_t result_next_id_ = 0;
-  size_t result_active_rows_ = 0;
+  Memo<std::tuple<uint64_t, size_t>, SketchT> blocks_memo_;
+  Memo<std::tuple<uint64_t, size_t, uint64_t, size_t>, Matrix> result_memo_;
 };
 
 /// LM-FD: the paper's recommended general-purpose sliding-window sketch

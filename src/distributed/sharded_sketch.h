@@ -52,6 +52,7 @@
 #include "core/factory.h"
 #include "core/merge_reduce.h"
 #include "core/sliding_window_sketch.h"
+#include "util/memo.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
 
@@ -124,9 +125,6 @@ class ShardedSketch : public SlidingWindowSketch {
   size_t dim() const override { return dim_; }
   std::string name() const override { return name_; }
   const WindowSpec& window() const override { return window_; }
-
-  /// Drops the cached query result (bench/test hook; behaviour unchanged).
-  void InvalidateQueryCache();
 
   size_t num_shards() const { return shards_.size(); }
 
@@ -217,11 +215,7 @@ class ShardedSketch : public SlidingWindowSketch {
   size_t rr_ = 0;          // Next shard in the round-robin rotation.
   double now_ = 0.0;       // Global high-water timestamp.
   uint64_t mutation_seq_ = 0;
-
-  // Query cache: valid while mutation_seq_ is unchanged.
-  Matrix cached_result_{0, 0};
-  bool result_valid_ = false;
-  uint64_t result_seq_ = 0;
+  Memo<uint64_t, Matrix> result_memo_;  // Keyed by mutation_seq_.
 };
 
 }  // namespace swsketch

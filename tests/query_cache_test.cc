@@ -4,17 +4,31 @@
 // freshly-constructed sketch replaying the same rows, and a repeated
 // (warm) Query() must be byte-identical to the first. The structure
 // version counter is the cache key; these tests also pin that it only
-// moves at structural events.
+// moves at structural events. The same replay check covers the other
+// Memo sites (DS-FD, ShardedSketch, AmmSketch::QueryProduct), and scripted
+// runs pin every site's key with exact hit/miss deltas.
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "amm/amm_sketch.h"
+#include "amm/amm_stacked.h"
+#include "core/dump_snapshot.h"
 #include "core/dyadic_interval.h"
+#include "core/factory.h"
 #include "core/logarithmic_method.h"
+#include "distributed/sharded_sketch.h"
 #include "linalg/matrix.h"
+#include "util/memo.h"
+#include "util/metrics.h"
 #include "util/random.h"
 #include "util/serialize.h"
 
@@ -248,6 +262,408 @@ TEST(QueryCacheTest, DeserializeResetsCacheAndStaysIdentical) {
   }
   EXPECT_EQ(lm.Query().MaxAbsDiff(lm2->Query()), 0.0);
   EXPECT_EQ(di.Query().MaxAbsDiff(di2->Query()), 0.0);
+}
+
+// ---------------------------------------------------------------------
+// Replay checks for the remaining Memo sites.
+
+// Shape plus every double's bytes.
+void ExpectSameBytes(const Matrix& a, const Matrix& b, size_t op) {
+  ASSERT_EQ(a.rows(), b.rows()) << "op " << op;
+  ASSERT_EQ(a.cols(), b.cols()) << "op " << op;
+  if (a.Data().empty()) return;
+  EXPECT_EQ(std::memcmp(a.Data().data(), b.Data().data(),
+                        a.Data().size() * sizeof(double)),
+            0)
+      << "op " << op;
+}
+
+// One scripted step: ingest rows.Row(row) at ts, or, when row is
+// kAdvance, slide the window to ts without an arrival.
+constexpr size_t kAdvance = static_cast<size_t>(-1);
+struct Op {
+  size_t row;
+  double ts;
+};
+
+void Apply(SlidingWindowSketch& sketch, const Matrix& rows, const Op& op) {
+  if (op.row == kAdvance) {
+    sketch.AdvanceTo(op.ts);
+  } else {
+    sketch.Update(rows.Row(op.row), op.ts);
+  }
+}
+
+std::vector<Op> RowOps(const TestStream& s) {
+  std::vector<Op> ops;
+  for (size_t i = 0; i < s.rows.rows(); ++i) ops.push_back({i, s.ts[i]});
+  return ops;
+}
+
+// Runs `ops` on a live sketch; after every `every`-th op, Flush()es and
+// asserts that query(live), its warm repeat and query(fresh) — a fresh
+// sketch replaying the same op prefix — are byte-equal. Returns how many
+// checks right after an AdvanceTo saw a different answer than the
+// previous check (the window slid under a cached result).
+template <typename T>
+size_t CheckOpsAgainstReplay(const Matrix& rows, const std::vector<Op>& ops,
+                             size_t every,
+                             const std::function<std::unique_ptr<T>()>& make,
+                             const std::function<Matrix(T&)>& query) {
+  std::unique_ptr<T> live = make();
+  size_t checks = 0, moved_on_advance = 0;
+  Matrix previous(0, 0);
+  for (size_t i = 0; i < ops.size(); ++i) {
+    Apply(*live, rows, ops[i]);
+    if ((i + 1) % every != 0) continue;
+    ++checks;
+    live->Flush();
+    const Matrix q1 = query(*live);
+    const Matrix q2 = query(*live);  // Warm: no mutation in between.
+    ExpectSameBytes(q1, q2, i);
+
+    std::unique_ptr<T> fresh = make();
+    for (size_t j = 0; j <= i; ++j) Apply(*fresh, rows, ops[j]);
+    fresh->Flush();
+    ExpectSameBytes(q1, query(*fresh), i);
+
+    const bool moved = q1.rows() != previous.rows() ||
+                       q1.cols() != previous.cols() ||
+                       q1.MaxAbsDiff(previous) != 0.0;
+    if (ops[i].row == kAdvance && moved) ++moved_on_advance;
+    previous = q1;
+  }
+  EXPECT_GT(checks, 5u);
+  return moved_on_advance;
+}
+
+TEST(QueryCacheTest, DsFdSequenceWindowMatchesFreshReplay) {
+  const size_t d = 16;
+  const TestStream s = MakeStream(300, d, 21);
+  CheckOpsAgainstReplay<DsFd>(
+      s.rows, RowOps(s), 7,
+      [d] {
+        return std::make_unique<DsFd>(d, WindowSpec::Sequence(100),
+                                      DsFd::Options{.ell = 8});
+      },
+      [](DsFd& ds) { return ds.Query(); });
+}
+
+TEST(QueryCacheTest, DsFdTimeWindowAdvanceOnlyStepsMatchFreshReplay) {
+  // Bursts of rows separated by runs of AdvanceTo-only steps: the window
+  // start slides between arrivals, so the straddling frame's subtracted
+  // snapshot changes while no row arrives.
+  const size_t d = 12;
+  const TestStream s = MakeStream(200, d, 22);
+  Rng rng(23);
+  std::vector<Op> ops;
+  double t = 0.0;
+  for (size_t i = 0; i < s.rows.rows(); ++i) {
+    t += rng.Uniform(0.1, 1.0);
+    ops.push_back({i, t});
+    if (i % 10 == 9) {
+      for (int k = 0; k < 4; ++k) {
+        t += rng.Uniform(0.5, 3.0);
+        ops.push_back({kAdvance, t});
+      }
+    }
+  }
+  const size_t moved = CheckOpsAgainstReplay<DsFd>(
+      s.rows, ops, 1,
+      [d] {
+        return std::make_unique<DsFd>(d, WindowSpec::Time(30.0),
+                                      DsFd::Options{.ell = 8});
+      },
+      [](DsFd& ds) { return ds.Query(); });
+  EXPECT_GT(moved, 10u) << "advance-only steps never changed the answer";
+}
+
+std::unique_ptr<ShardedSketch> MakeShardedLmFd(size_t d, size_t shards) {
+  SketchConfig config;
+  config.algorithm = "lm-fd";
+  config.ell = 8;
+  config.seed = 5;
+  ShardedSketch::Options options;
+  options.shards = shards;
+  options.parallel = true;
+  options.block_rows = 16;
+  auto made =
+      ShardedSketch::Make(d, WindowSpec::Sequence(200), config, options);
+  SWSKETCH_CHECK(made.ok());
+  return made.take();
+}
+
+TEST(QueryCacheTest, ShardedParallelMatchesFreshReplayAfterFlush) {
+  const size_t d = 8;
+  const TestStream s = MakeStream(600, d, 24);
+  CheckOpsAgainstReplay<ShardedSketch>(
+      s.rows, RowOps(s), 37, [d] { return MakeShardedLmFd(d, 2); },
+      [](ShardedSketch& sharded) { return sharded.Query(); });
+}
+
+std::unique_ptr<AmmSketch> MakeAmm(const std::string& algorithm, size_t da,
+                                   size_t d) {
+  SketchConfig config;
+  config.algorithm = algorithm;
+  config.ell = 8;
+  config.amm_dim_a = da;
+  config.max_norm_sq = 16.0 * static_cast<double>(d);
+  auto made = MakeSlidingWindowSketch(d, WindowSpec::Sequence(40), config);
+  SWSKETCH_CHECK(made.ok());
+  auto* amm = dynamic_cast<AmmSketch*>(made->get());
+  SWSKETCH_CHECK(amm != nullptr);
+  made->release();
+  return std::unique_ptr<AmmSketch>(amm);
+}
+
+TEST(QueryCacheTest, AmmQueryProductMatchesFreshReplay) {
+  const size_t da = 3, d = 7;
+  const TestStream s = MakeStream(150, d, 25);
+  for (const std::string algo :
+       {"amm-exact", "amm-co-fd", "amm-lm-fd", "amm-di-fd"}) {
+    SCOPED_TRACE(algo);
+    CheckOpsAgainstReplay<AmmSketch>(
+        s.rows, RowOps(s), 11, [&] { return MakeAmm(algo, da, d); },
+        [](AmmSketch& amm) { return amm.QueryProduct(); });
+  }
+}
+
+// ---------------------------------------------------------------------
+// Key pinning: exact hit/miss deltas on scripted op sequences.
+
+using HitsMisses = std::pair<uint64_t, uint64_t>;
+
+// One cache's <prefix>_hits / <prefix>_misses counters, read as deltas.
+class CacheLedger {
+ public:
+  explicit CacheLedger(const std::string& prefix)
+      : hits_(MetricsRegistry::Global().GetCounter(prefix + "_hits")),
+        misses_(MetricsRegistry::Global().GetCounter(prefix + "_misses")) {
+    Take();
+  }
+
+  /// (hits, misses) since the previous Take().
+  HitsMisses Take() {
+    const HitsMisses now{hits_->Value(), misses_->Value()};
+    const HitsMisses delta{now.first - last_.first,
+                           now.second - last_.second};
+    last_ = now;
+    return delta;
+  }
+
+  Counter* hits() const { return hits_; }
+  Counter* misses() const { return misses_; }
+
+ private:
+  Counter* hits_;
+  Counter* misses_;
+  HitsMisses last_{0, 0};
+};
+
+TEST(MemoTest, OneHitOrMissPerGetAndResetGoesCold) {
+  struct NoDefault {
+    explicit NoDefault(int x) : v(x) {}
+    int v;
+  };
+  CacheLedger ledger("memo_test.lookup");
+  Memo<std::tuple<int, int>, NoDefault> memo;
+  int computes = 0;
+  const auto get = [&](int a, int b) {
+    return memo
+        .Get({a, b}, ledger.hits(), ledger.misses(),
+             [&] {
+               ++computes;
+               return NoDefault(10 * a + b);
+             })
+        .v;
+  };
+  EXPECT_EQ(get(1, 2), 12);
+  EXPECT_EQ(ledger.Take(), HitsMisses(0, 1));
+  EXPECT_EQ(get(1, 2), 12);
+  EXPECT_EQ(ledger.Take(), HitsMisses(1, 0));
+  EXPECT_EQ(get(1, 3), 13);  // Any key component moving is a miss.
+  EXPECT_EQ(get(1, 2), 12);  // One slot: the older key is gone.
+  EXPECT_EQ(ledger.Take(), HitsMisses(0, 2));
+  memo.Reset();
+  EXPECT_EQ(get(1, 2), 12);
+  EXPECT_EQ(ledger.Take(), HitsMisses(0, 1));
+  EXPECT_EQ(computes, 4);
+}
+
+TEST(QueryCacheKeyTest, LmHitsAfterZeroRowAndNoOpAdvance) {
+  const size_t d = 8;
+  const TestStream s = MakeStream(40, d, 26);
+  LmFd::Options opt;
+  opt.ell = 4;
+  opt.block_capacity = 4.0 * static_cast<double>(d);
+  LmFd lm(d, WindowSpec::Time(1000.0), opt);  // Nothing expires below.
+  for (size_t i = 0; i < s.rows.rows(); ++i) {
+    lm.Update(s.rows.Row(i), s.ts[i]);
+  }
+  ASSERT_GT(lm.NumBlocks(), 0u);
+  CacheLedger result("lm_fd.query_cache"), merge("lm_fd.merge_cache");
+
+  (void)lm.Query();
+  EXPECT_EQ(result.Take(), HitsMisses(0, 1));
+  EXPECT_EQ(merge.Take(), HitsMisses(0, 1));
+  (void)lm.Query();
+  EXPECT_EQ(result.Take(), HitsMisses(1, 0));
+
+  // A zero-norm row and an AdvanceTo that expires nothing move
+  // StateVersion() but not the result key: still hits.
+  const uint64_t structure = lm.structure_version();
+  uint64_t state = lm.StateVersion();
+  lm.Update(std::vector<double>(d, 0.0), 41.0);
+  EXPECT_NE(lm.StateVersion(), state);
+  (void)lm.Query();
+  EXPECT_EQ(result.Take(), HitsMisses(1, 0));
+  state = lm.StateVersion();
+  lm.AdvanceTo(42.0);
+  EXPECT_NE(lm.StateVersion(), state);
+  (void)lm.Query();
+  EXPECT_EQ(result.Take(), HitsMisses(1, 0));
+  EXPECT_EQ(merge.Take(), HitsMisses(0, 0));
+
+  // A tiny row that closes no block: result miss, merged blocks hit.
+  std::vector<double> tiny(d, 0.0);
+  tiny[0] = 1e-3;
+  lm.Update(tiny, 43.0);
+  ASSERT_EQ(lm.structure_version(), structure);
+  (void)lm.Query();
+  EXPECT_EQ(result.Take(), HitsMisses(0, 1));
+  EXPECT_EQ(merge.Take(), HitsMisses(1, 0));
+
+  // Empty window: one miss per query, outside the memo.
+  lm.AdvanceTo(5000.0);
+  (void)lm.Query();
+  (void)lm.Query();
+  EXPECT_EQ(result.Take(), HitsMisses(0, 2));
+  EXPECT_EQ(merge.Take(), HitsMisses(0, 0));
+}
+
+TEST(QueryCacheKeyTest, DiHitsAfterZeroRowAndNoOpAdvance) {
+  const size_t d = 8;
+  const TestStream s = MakeStream(60, d, 27);
+  DiFd::Options opt;
+  opt.levels = 4;
+  opt.window_size = 1000;  // Nothing expires below; j0 stays put.
+  opt.max_norm_sq = 1.0;    // Level-1 blocks of ~8 rows.
+  opt.ell_top = 8;
+  DiFd di(d, opt);
+  for (size_t i = 0; i < s.rows.rows(); ++i) {
+    di.Update(s.rows.Row(i), s.ts[i]);
+  }
+  ASSERT_GT(di.NumBlocks(), 0u);
+  CacheLedger result("di_fd.query_cache"), cover("di_fd.cover_cache");
+
+  (void)di.Query();
+  EXPECT_EQ(result.Take(), HitsMisses(0, 1));
+  EXPECT_EQ(cover.Take(), HitsMisses(0, 1));
+  (void)di.Query();
+  EXPECT_EQ(result.Take(), HitsMisses(1, 0));
+
+  const uint64_t structure = di.structure_version();
+  uint64_t state = di.StateVersion();
+  di.Update(std::vector<double>(d, 0.0), 61.0);
+  EXPECT_NE(di.StateVersion(), state);
+  (void)di.Query();
+  EXPECT_EQ(result.Take(), HitsMisses(1, 0));
+  state = di.StateVersion();
+  di.AdvanceTo(62.0);
+  EXPECT_NE(di.StateVersion(), state);
+  (void)di.Query();
+  EXPECT_EQ(result.Take(), HitsMisses(1, 0));
+  EXPECT_EQ(cover.Take(), HitsMisses(0, 0));
+
+  std::vector<double> tiny(d, 0.0);
+  tiny[0] = 1e-3;
+  di.Update(tiny, 63.0);
+  ASSERT_EQ(di.structure_version(), structure);
+  (void)di.Query();
+  EXPECT_EQ(result.Take(), HitsMisses(0, 1));
+  EXPECT_EQ(cover.Take(), HitsMisses(1, 0));
+}
+
+TEST(QueryCacheKeyTest, DsFdMissesAfterAnyMutation) {
+  const size_t d = 8;
+  const TestStream s = MakeStream(30, d, 28);
+  CacheLedger result("ds_fd.query_cache");
+  DsFd empty(d, WindowSpec::Sequence(50), DsFd::Options{.ell = 4});
+  (void)empty.Query();
+  (void)empty.Query();
+  EXPECT_EQ(result.Take(), HitsMisses(0, 2));  // Empty window, no memo.
+
+  DsFd ds(d, WindowSpec::Sequence(50), DsFd::Options{.ell = 4});
+  for (size_t i = 0; i < s.rows.rows(); ++i) {
+    ds.Update(s.rows.Row(i), s.ts[i]);
+  }
+  (void)ds.Query();
+  (void)ds.Query();
+  EXPECT_EQ(result.Take(), HitsMisses(1, 1));
+  ds.Flush();  // Not a mutation.
+  (void)ds.Query();
+  EXPECT_EQ(result.Take(), HitsMisses(1, 0));
+  ds.Update(std::vector<double>(d, 0.0), 31.0);
+  (void)ds.Query();
+  EXPECT_EQ(result.Take(), HitsMisses(0, 1));
+  ds.AdvanceTo(31.0);
+  (void)ds.Query();
+  EXPECT_EQ(result.Take(), HitsMisses(0, 1));
+  ds.Update(s.rows.Row(0), 32.0);
+  (void)ds.Query();
+  (void)ds.Query();
+  EXPECT_EQ(result.Take(), HitsMisses(1, 1));
+}
+
+TEST(QueryCacheKeyTest, ShardedMissesAfterAnyMutation) {
+  const size_t d = 8;
+  const TestStream s = MakeStream(50, d, 29);
+  auto sharded = MakeShardedLmFd(d, 2);
+  CacheLedger result("sharded_lm_fd.query_cache");
+  for (size_t i = 0; i < s.rows.rows(); ++i) {
+    sharded->Update(s.rows.Row(i), s.ts[i]);
+  }
+  (void)sharded->Query();
+  (void)sharded->Query();
+  EXPECT_EQ(result.Take(), HitsMisses(1, 1));
+  sharded->Flush();  // Not a mutation.
+  (void)sharded->Query();
+  EXPECT_EQ(result.Take(), HitsMisses(1, 0));
+  sharded->Update(std::vector<double>(d, 0.0), 51.0);
+  (void)sharded->Query();
+  EXPECT_EQ(result.Take(), HitsMisses(0, 1));
+  sharded->AdvanceTo(51.0);
+  (void)sharded->Query();
+  EXPECT_EQ(result.Take(), HitsMisses(0, 1));
+  const std::vector<double> ts = {52.0, 53.0};
+  Matrix batch(2, d);
+  batch(0, 0) = batch(1, 1) = 1.0;
+  sharded->UpdateBatch(batch, ts);
+  (void)sharded->Query();
+  (void)sharded->Query();
+  EXPECT_EQ(result.Take(), HitsMisses(1, 1));
+}
+
+TEST(QueryCacheKeyTest, AmmOverUntrackedSamplerNeverHits) {
+  const size_t da = 3, db = 4, d = da + db;
+  const TestStream s = MakeStream(20, d, 30);
+  SketchConfig config;
+  config.algorithm = "swr";
+  config.ell = 8;
+  auto inner = MakeSlidingWindowSketch(d, WindowSpec::Sequence(40), config);
+  ASSERT_TRUE(inner.ok());
+  AmmStacked swr(da, db, inner.take());
+  ASSERT_EQ(swr.StateVersion(), 0u);
+  auto lm = MakeAmm("amm-lm-fd", da, d);
+  for (size_t i = 0; i < s.rows.rows(); ++i) {
+    swr.Update(s.rows.Row(i), s.ts[i]);
+    lm->Update(s.rows.Row(i), s.ts[i]);
+  }
+  CacheLedger product("amm.product_cache");
+  for (int k = 0; k < 3; ++k) (void)swr.QueryProduct();
+  EXPECT_EQ(product.Take(), HitsMisses(0, 3));
+  for (int k = 0; k < 3; ++k) (void)lm->QueryProduct();
+  EXPECT_EQ(product.Take(), HitsMisses(2, 1));
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "eval/cov_err.h"
 #include "sketch/frequent_directions.h"
 #include "stream/window_buffer.h"
+#include "util/metrics.h"
 #include "util/random.h"
 
 namespace swsketch {
@@ -341,8 +342,27 @@ TEST(ShardedSketchTest, ConcurrentSketchOverShardedPipeline) {
   }
   writer.join();
   for (auto& t : readers) t.join();
+
+  // Flush() must reach the sharded inner sketch and drain its queues. A
+  // burst right before it leaves blocks queued on the writers; the final
+  // AdvanceTo aligns every shard to the last timestamp, so Query()'s own
+  // alignment expires nothing and RowsStored() must not move across it.
+  Counter* flushes =
+      MetricsRegistry::Global().GetCounter("sharded_lm_fd.flushes");
+  const uint64_t flushes0 = flushes->Value();
+  const size_t burst = 1000;
+  const Matrix burst_rows = GaussianRows(31, burst, d);
+  std::vector<double> burst_ts(burst);
+  for (size_t i = 0; i < burst; ++i) {
+    burst_ts[i] = static_cast<double>(n + i);
+  }
+  sketch.UpdateBatch(burst_rows, burst_ts);
+  sketch.AdvanceTo(burst_ts.back());
   sketch.Flush();
+  EXPECT_EQ(flushes->Value(), flushes0 + 1);
+  const size_t rows_after_flush = sketch.RowsStored();
   EXPECT_TRUE(sketch.Query().rows() <= 8u);
+  EXPECT_EQ(rows_after_flush, sketch.RowsStored());
 }
 
 // merge_reduce unit coverage: spec mapping and pair combiners.
