@@ -13,8 +13,6 @@ namespace swsketch {
 
 namespace {
 
-constexpr size_t kNoRun = static_cast<size_t>(-1);
-
 FrobeniusTracker MakeTracker(const DsFd::Options& options) {
   return FrobeniusTracker(options.exact_frobenius
                               ? FrobeniusTracker::Mode::kExact
@@ -229,60 +227,6 @@ void DsFd::Update(std::span<const double> row, double ts) {
   // frame is then strictly older than any window starting at or after
   // `ts`, so at most this frame ever straddles the window start.
   if (f.birth <= window_.Start(ts)) f.frozen = true;
-}
-
-void DsFd::UpdateBatch(const Matrix& rows, std::span<const double> ts) {
-  SWSKETCH_CHECK_EQ(rows.rows(), ts.size());
-  if (rows.rows() != 0) SWSKETCH_CHECK_EQ(rows.cols(), dim_);
-  // Per-row trigger bookkeeping, batched FD appends: rows destined for
-  // the active frame accumulate in [run_begin, i) and flush through
-  // AppendBatch at the first structural trigger (snapshot, cut, frame
-  // open, expiry of the active frame, zero-norm row). Trigger decisions
-  // depend only on timestamps and masses — never on FD buffer contents —
-  // so the frame/snapshot structure is identical to per-row Update.
-  size_t run_begin = kNoRun;
-  uint64_t run_first_id = 0;
-  const auto flush = [&](size_t end) {
-    if (run_begin == kNoRun) return;
-    frames_.back().fd.AppendBatch(rows, run_begin, end, run_first_id);
-    run_begin = kNoRun;
-  };
-  for (size_t i = 0; i < rows.rows(); ++i) {
-    const double t = ts[i];
-    SWSKETCH_CHECK_GE(t, now_);
-    ++mutation_version_;
-    now_ = t;
-    // A time gap inside the batch can expire the active frame itself;
-    // its staged rows must land before the frame is destroyed.
-    if (!frames_.empty() && frames_.back().last < window_.Start(t)) flush(i);
-    Expire(t);
-    const double w = NormSq(rows.Row(i));
-    if (w <= 0.0) continue;
-    metrics_.rows_ingested->Add();
-    NoteRowNorm(w);
-    tracker_.Add(w, t);
-    if (frames_.empty() || frames_.back().frozen) {
-      flush(i);  // No-op unless the previous frame still has staged rows.
-      OpenFrame(t);
-    }
-    Frame& f = frames_.back();
-    if (run_begin == kNoRun) {
-      run_begin = i;
-      run_first_id = next_id_;
-    }
-    ++next_id_;
-    f.last = t;
-    f.mass += w;
-    f.mass_since_snapshot += w;
-    const bool snap = f.mass_since_snapshot >= SnapshotSpacing();
-    const bool cut = f.birth <= window_.Start(t);
-    if (snap || cut) {
-      flush(i + 1);
-      if (snap) DumpSnapshot(f, t);
-      if (cut) f.frozen = true;
-    }
-  }
-  flush(rows.rows());
 }
 
 void DsFd::AdvanceTo(double now) {

@@ -179,14 +179,6 @@ class DsFd : public SlidingWindowSketch {
 
   void Update(std::span<const double> row, double ts) override;
 
-  /// Block fast path: per-row trigger bookkeeping (expiry, tracker,
-  /// snapshot/cut decisions) with the FD appends of each trigger-free run
-  /// batched through FrequentDirections::AppendBatch. Structural
-  /// decisions (frames, snapshots) are identical to per-row Update; the
-  /// FD buffer bytes are bit-identical whenever AppendBatch replays the
-  /// serial schedule (buffer capacity < dim — see its contract).
-  void UpdateBatch(const Matrix& rows, std::span<const double> ts) override;
-
   void AdvanceTo(double now) override;
 
   /// Signed-stack PSD projection described in the file comment. At most

@@ -158,9 +158,9 @@ class DyadicInterval : public SlidingWindowSketch {
 
   void Update(std::span<const double> row, double ts) override {
     SWSKETCH_CHECK_EQ(row.size(), dim_);
-    UpdateImpl(ts, NormSq(row), [&](SketchT& sketch, uint64_t id) {
-      sketch.Append(row, id);
-    });
+    Step(ts, NormSq(row), /*expire=*/true,
+         [&](SketchT& sketch, uint64_t id) { sketch.Append(row, id); },
+         [] {});
   }
 
   /// O(nnz) per level instead of O(d): the row fans into L active
@@ -168,26 +168,24 @@ class DyadicInterval : public SlidingWindowSketch {
   /// here.
   void UpdateSparse(const SparseVector& row, double ts) override {
     SWSKETCH_CHECK_EQ(row.dim(), dim_);
-    UpdateImpl(ts, row.NormSq(), [&](SketchT& sketch, uint64_t id) {
-      sketch.AppendSparse(row, id);
-    });
+    Step(ts, row.NormSq(), /*expire=*/true,
+         [&](SketchT& sketch, uint64_t id) { sketch.AppendSparse(row, id); },
+         [] {});
   }
 
   /// Splits the block at level boundaries: contiguous runs of nonzero rows
   /// are forwarded to every level's active sketch as one AppendBatch; a run
   /// ends at a zero row (never appended), at a level-1 close (the aligned
   /// actives are replaced by fresh sketches, so the run must land first),
-  /// or at the end of the block. All per-row bookkeeping — started flags,
-  /// start/end timestamps, ids, mass and row counters, close triggers —
-  /// replays the serial order exactly. Expiry runs once at the end of the
-  /// block: DI never merges, the update path only pushes onto the closed
-  /// deques, and expired blocks form a front prefix, so the deferral is
-  /// state-identical. DI-FD stays bit-identical (FD runs replay per-row
-  /// appends); DI-RP inherits RP's batch accumulation-order caveat.
+  /// or at the end of the block. All per-row bookkeeping is the serial
+  /// Step, so it replays the serial order exactly. Expiry runs once at the
+  /// end of the block: DI never merges, the update path only pushes onto
+  /// the closed deques, and expired blocks form a front prefix, so the
+  /// deferral is state-identical. DI-FD stays bit-identical (FD runs replay
+  /// per-row appends); DI-RP inherits RP's batch accumulation-order caveat.
   void UpdateBatch(const Matrix& rows, std::span<const double> ts) override {
     SWSKETCH_CHECK_EQ(rows.rows(), ts.size());
     if (rows.rows() == 0) return;
-    ++mutation_version_;
     SWSKETCH_CHECK_EQ(rows.cols(), dim_);
     size_t rb = 0;                     // Pending (unforwarded) run start.
     uint64_t run_first_id = next_id_;  // Id of the run's first row.
@@ -200,45 +198,13 @@ class DyadicInterval : public SlidingWindowSketch {
       rb = re;
       run_first_id = next_id_;
     };
-    const uint64_t row_cap = std::max<uint64_t>(1, options_.window_size / 8);
     for (size_t i = 0; i < rows.rows(); ++i) {
-      SWSKETCH_CHECK_GE(ts[i], now_);
-      now_ = ts[i];
-      const double w = NormSq(rows.Row(i));
-      if (w <= 0.0) {
+      const bool appended =
+          Step(ts[i], NormSq(rows.Row(i)), /*expire=*/false,
+               [](SketchT&, uint64_t) {}, [&] { flush(i + 1); });
+      if (!appended) {
         flush(i);
         rb = i + 1;  // The zero row itself is never appended.
-        continue;
-      }
-      for (auto& a : actives_) {
-        if (!a.started) {
-          a.start_ts = ts[i];
-          a.started = true;
-        }
-        a.end_ts = ts[i];
-      }
-      ++next_id_;
-      metrics_.rows_ingested->Add();
-      level1_mass_ += w;
-      ++level1_rows_;
-      if (level1_mass_ > level1_capacity_ || level1_rows_ >= row_cap) {
-        flush(i + 1);
-        level1_mass_ = 0.0;
-        level1_rows_ = 0;
-        ++closed_l1_;
-        ++structure_version_;
-        metrics_.l1_closes->Add();
-        for (size_t li = 0; li < options_.levels; ++li) {
-          const uint64_t span = 1ULL << li;
-          if (closed_l1_ % span != 0) break;
-          levels_[li].push_back(Block(std::move(actives_[li].sketch),
-                                      closed_l1_ - span, closed_l1_,
-                                      actives_[li].start_ts,
-                                      actives_[li].end_ts));
-          actives_[li] = Active{factory_(li + 1), 0.0, 0.0, false};
-          metrics_.blocks_closed->Add();
-          metrics_.live_blocks->Add(1);
-        }
       }
     }
     flush(rows.rows());
@@ -246,14 +212,20 @@ class DyadicInterval : public SlidingWindowSketch {
   }
 
  private:
-  template <typename AppendFn>
-  void UpdateImpl(double ts, double w, AppendFn&& append) {
+  // One row of Algorithm 7.1: time check, optional expiry, zero-norm skip,
+  // active start/end stamps, level-1 accounting and the aligned-level
+  // close. `append(sketch, id)` feeds the row to one level's active sketch;
+  // `before_close()` runs just before a level-1 close replaces the aligned
+  // actives. Returns false for a zero row, which is never appended.
+  template <typename AppendFn, typename CloseFn>
+  bool Step(double ts, double w, bool expire, AppendFn&& append,
+            CloseFn&& before_close) {
     SWSKETCH_CHECK_GE(ts, now_);
     ++mutation_version_;
     now_ = ts;
-    Expire(ts);
+    if (expire) Expire(ts);
 
-    if (w <= 0.0) return;
+    if (w <= 0.0) return false;
 
     for (auto& a : actives_) {
       if (!a.started) {
@@ -275,6 +247,7 @@ class DyadicInterval : public SlidingWindowSketch {
     // rows. With correctly-sized R the mass rule always fires first.
     const uint64_t row_cap = std::max<uint64_t>(1, options_.window_size / 8);
     if (level1_mass_ > level1_capacity_ || level1_rows_ >= row_cap) {
+      before_close();
       level1_mass_ = 0.0;
       level1_rows_ = 0;
       ++closed_l1_;
@@ -294,6 +267,7 @@ class DyadicInterval : public SlidingWindowSketch {
         metrics_.live_blocks->Add(1);
       }
     }
+    return true;
   }
 
  public:

@@ -83,43 +83,6 @@ void SworSketch::Update(std::span<const double> row, double ts) {
       MakeSharedRow(std::vector<double>(row.begin(), row.end()), ts), lp, 1});
 }
 
-void SworSketch::UpdateBatch(const Matrix& rows, std::span<const double> ts) {
-  SWSKETCH_CHECK_EQ(rows.rows(), ts.size());
-  if (rows.rows() == 0) return;
-  SWSKETCH_CHECK_EQ(rows.cols(), dim_);
-  for (size_t r = 0; r < rows.rows(); ++r) {
-    const auto row = rows.Row(r);
-    SWSKETCH_CHECK_GE(ts[r], now_);
-    now_ = ts[r];
-    frobenius_.EvictBefore(window_.Start(ts[r]));
-
-    const double w = NormSq(row);
-    if (w <= 0.0) continue;
-    frobenius_.Add(w, ts[r]);
-
-    const SworMetrics& metrics =
-        SworMetrics::Get(options_.query_mode == QueryMode::kAll);
-    metrics.rows_ingested->Add();
-    metrics.priority_draws->Add();
-    const double lp = LogPriority(&rng_, w);
-    const size_t before = queue_.size();
-    size_t write = 0;
-    for (size_t read = 0; read < queue_.size(); ++read) {
-      Candidate& c = queue_[read];
-      if (lp > c.log_priority) ++c.rank;
-      if (c.rank > options_.ell) continue;
-      if (write != read) queue_[write] = std::move(c);
-      ++write;
-    }
-    if (before != write) metrics.replacements->Add(before - write);
-    queue_.resize(write);
-    queue_.push_back(Candidate{
-        MakeSharedRow(std::vector<double>(row.begin(), row.end()), ts[r]), lp,
-        1});
-  }
-  Expire(now_);
-}
-
 void SworSketch::AdvanceTo(double now) {
   SWSKETCH_CHECK_GE(now, now_);
   now_ = now;

@@ -44,14 +44,6 @@ class SworSketch : public SlidingWindowSketch {
 
   void Update(std::span<const double> row, double ts) override;
 
-  /// Bit-identical to the serial loop. Priority draws and EH evictions stay
-  /// per-row; only the queue-front expiry scan is deferred to one pass at
-  /// the end of the block. Safe because rank bumps are per-candidate
-  /// (dominated-by-new-arrival only — candidates never interact), so stale
-  /// expired entries lingering at the front never change a survivor's rank,
-  /// and they still form a timestamp-ordered prefix for the final expiry.
-  void UpdateBatch(const Matrix& rows, std::span<const double> ts) override;
-
   void AdvanceTo(double now) override;
   Matrix Query() override;
   size_t RowsStored() const override { return queue_.size(); }

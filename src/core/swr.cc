@@ -76,45 +76,6 @@ void SwrSketch::Update(std::span<const double> row, double ts) {
   if (replaced != 0) metrics.replacements->Add(replaced);
 }
 
-void SwrSketch::UpdateBatch(const Matrix& rows, std::span<const double> ts) {
-  SWSKETCH_CHECK_EQ(rows.rows(), ts.size());
-  if (rows.rows() == 0) return;
-  SWSKETCH_CHECK_EQ(rows.cols(), dim_);
-  for (size_t r = 0; r < rows.rows(); ++r) {
-    const auto row = rows.Row(r);
-    SWSKETCH_CHECK_GE(ts[r], now_);
-    now_ = ts[r];
-    // The EH must see evictions at the same timestamps as the serial path
-    // (its bucket merges depend on when mass leaves), so it is advanced per
-    // row even though the chain fronts are expired only once at the end.
-    frobenius_.EvictBefore(window_.Start(ts[r]));
-
-    const double w = NormSq(row);
-    if (w <= 0.0) continue;
-    frobenius_.Add(w, ts[r]);
-
-    const SwrMetrics& metrics = SwrMetrics::Get();
-    metrics.rows_ingested->Add();
-    metrics.priority_draws->Add(chains_.size());
-    const SharedRow shared =
-        MakeSharedRow(std::vector<double>(row.begin(), row.end()), ts[r]);
-    uint64_t replaced = 0;
-    for (auto& chain : chains_) {
-      const double lp = LogPriority(&rng_, w);
-      while (!chain.empty() && chain.back().log_priority < lp) {
-        chain.pop_back();
-        ++replaced;
-      }
-      chain.push_back(Candidate{shared, lp});
-    }
-    if (replaced != 0) metrics.replacements->Add(replaced);
-  }
-  // Expired candidates form a prefix of each deque (timestamps increase
-  // front to back) and a stale front never influences back-side pops, so
-  // one final expiry leaves exactly the serial state.
-  Expire(now_);
-}
-
 void SwrSketch::AdvanceTo(double now) {
   SWSKETCH_CHECK_GE(now, now_);
   now_ = now;

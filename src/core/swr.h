@@ -47,14 +47,6 @@ class SwrSketch : public SlidingWindowSketch {
 
   void Update(std::span<const double> row, double ts) override;
 
-  /// Bit-identical to the serial loop. Priority draws stay row-major and
-  /// the EH evictions stay per-row (bucket merge cascades depend on
-  /// eviction timing), but the per-chain *front* expiry scans — pure
-  /// removals of a timestamp-ordered prefix, which commute with the
-  /// back-side dominance pops — are deferred to one pass at the end of the
-  /// block, saving ell deque checks per row.
-  void UpdateBatch(const Matrix& rows, std::span<const double> ts) override;
-
   void AdvanceTo(double now) override;
   Matrix Query() override;
   size_t RowsStored() const override;

@@ -233,14 +233,13 @@ const SymmetricEigen& TridiagEigen(const Matrix& s,
   return out;
 }
 
-SymmetricEigen SymmetricEigenSolve(const Matrix& s, size_t jacobi_cutoff) {
-  return s.rows() <= jacobi_cutoff ? JacobiEigen(s) : TridiagEigen(s);
+SymmetricEigen SymmetricEigenSolve(const Matrix& s) {
+  return s.rows() <= kJacobiCutoff ? JacobiEigen(s) : TridiagEigen(s);
 }
 
 const SymmetricEigen& SymmetricEigenSolve(const Matrix& s,
-                                          SymmetricEigenScratch* scratch,
-                                          size_t jacobi_cutoff) {
-  return s.rows() <= jacobi_cutoff ? JacobiEigen(s, scratch)
+                                          SymmetricEigenScratch* scratch) {
+  return s.rows() <= kJacobiCutoff ? JacobiEigen(s, scratch)
                                    : TridiagEigen(s, scratch);
 }
 

@@ -24,16 +24,20 @@ SymmetricEigen TridiagEigen(const Matrix& s);
 const SymmetricEigen& TridiagEigen(const Matrix& s,
                                    SymmetricEigenScratch* scratch);
 
-/// Dispatching solver: Jacobi below `jacobi_cutoff` rows (more accurate on
-/// tiny systems, no allocation overhead), tridiagonal QL above.
-SymmetricEigen SymmetricEigenSolve(const Matrix& s, size_t jacobi_cutoff = 32);
+/// Largest system SymmetricEigenSolve hands to cyclic Jacobi (more
+/// accurate on tiny systems, no allocation overhead); larger ones take
+/// tridiagonal QL. Moving it changes FD shrink output bytes and goldens.
+inline constexpr size_t kJacobiCutoff = 32;
+
+/// Dispatching solver: Jacobi up to kJacobiCutoff rows, tridiagonal QL
+/// above.
+SymmetricEigen SymmetricEigenSolve(const Matrix& s);
 
 /// Scratch-accepting dispatching solver (see the TridiagEigen overload for
 /// the reuse/aliasing contract). This is the entry point of the FD shrink
 /// hot path: a recycled scratch makes the whole eigensolve heap-free.
 const SymmetricEigen& SymmetricEigenSolve(const Matrix& s,
-                                          SymmetricEigenScratch* scratch,
-                                          size_t jacobi_cutoff = 32);
+                                          SymmetricEigenScratch* scratch);
 
 }  // namespace swsketch
 

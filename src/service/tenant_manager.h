@@ -64,8 +64,8 @@ class TenantManager {
   struct Options {
     /// Aggregate resident-bytes budget, enforced against the charged-bytes
     /// model reported by resident_bytes(). 0 disables eviction. A nonzero
-    /// budget requires a serializable algorithm (swr, swor, swor-all,
-    /// lm-fd, lm-hash, di-fd) so cold tenants can spill.
+    /// budget requires a serializable algorithm (a Backends() row with a
+    /// `load` hook) so cold tenants can spill.
     size_t memory_budget_bytes = 0;
     /// Eviction never shrinks the resident set below this many tenants
     /// (the budget is a target, not a hard cap, once only this many

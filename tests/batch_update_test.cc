@@ -23,6 +23,7 @@
 #include "sketch/random_projection.h"
 #include "stream/window_buffer.h"
 #include "util/random.h"
+#include "util/serialize.h"
 
 namespace swsketch {
 namespace {
@@ -47,11 +48,25 @@ TestStream MakeStream(size_t n, size_t d, uint64_t seed) {
   return s;
 }
 
+// Time stamps with uniform(0.1, 2) steps plus a jump past the whole
+// `window` every 150 rows, so every sketch (DS-FD's active frame included)
+// expires completely inside some block.
+void UseTimeStampsWithGaps(TestStream* s, double window, uint64_t seed) {
+  Rng rng(seed);
+  double t = 0.0;
+  for (size_t i = 0; i < s->ts.size(); ++i) {
+    t += rng.Uniform(0.1, 2.0);
+    if (i % 150 == 149) t += window + 10.0;
+    s->ts[i] = t;
+  }
+}
+
 std::unique_ptr<SlidingWindowSketch> MakeSketch(const std::string& algorithm,
-                                                size_t dim, WindowSpec window) {
+                                                size_t dim, WindowSpec window,
+                                                size_t ell = 16) {
   SketchConfig config;
   config.algorithm = algorithm;
-  config.ell = 16;
+  config.ell = ell;
   config.levels = 4;
   config.seed = 7;
   auto r = MakeSlidingWindowSketch(dim, window, config);
@@ -60,19 +75,28 @@ std::unique_ptr<SlidingWindowSketch> MakeSketch(const std::string& algorithm,
 }
 
 // Feeds the same stream serially and in ragged blocks (sizes 1, 2, 3, 5,
-// 8, 13, ... cycling) and returns both Query outputs.
+// 8, 13, ... cycling) and returns both Query outputs and, after the
+// queries, both serialized states (empty for non-serializable backends).
 struct BatchSerialPair {
   Matrix serial;
   Matrix batched;
   size_t serial_rows_stored;
   size_t batched_rows_stored;
+  std::vector<uint8_t> serial_bytes;
+  std::vector<uint8_t> batched_bytes;
 };
 
+std::vector<uint8_t> SerializedBytes(const SlidingWindowSketch& sketch) {
+  ByteWriter writer;
+  if (!sketch.SerializeTo(&writer).ok()) return {};
+  return writer.TakeBytes();
+}
+
 BatchSerialPair RunBoth(const std::string& algorithm, const TestStream& s,
-                        WindowSpec window) {
+                        WindowSpec window, size_t ell = 16) {
   const size_t d = s.rows.cols();
-  auto serial = MakeSketch(algorithm, d, window);
-  auto batched = MakeSketch(algorithm, d, window);
+  auto serial = MakeSketch(algorithm, d, window, ell);
+  auto batched = MakeSketch(algorithm, d, window, ell);
 
   for (size_t i = 0; i < s.rows.rows(); ++i) {
     serial->Update(s.rows.Row(i), s.ts[i]);
@@ -98,19 +122,46 @@ BatchSerialPair RunBoth(const std::string& algorithm, const TestStream& s,
   out.batched_rows_stored = batched->RowsStored();
   out.serial = serial->Query();
   out.batched = batched->Query();
+  out.serial_bytes = SerializedBytes(*serial);
+  out.batched_bytes = SerializedBytes(*batched);
   return out;
 }
 
+void ExpectBitIdentical(const BatchSerialPair& p, const std::string& label) {
+  EXPECT_EQ(p.serial_rows_stored, p.batched_rows_stored) << label;
+  ASSERT_EQ(p.serial.rows(), p.batched.rows()) << label;
+  EXPECT_EQ(p.serial.MaxAbsDiff(p.batched), 0.0) << label;
+  EXPECT_TRUE(p.serial_bytes == p.batched_bytes) << label;
+}
+
+// Backends whose batch path must replay the serial bytes (DS-FD at
+// d = 3 ell).
+struct BitIdenticalCase {
+  const char* algorithm;
+  size_t ell;
+};
+constexpr BitIdenticalCase kSequenceCases[] = {
+    {"exact", 16}, {"lm-fd", 16},   {"di-fd", 16}, {"lm-hash", 16},
+    {"di-hash", 16}, {"swr", 16},   {"swor", 16},  {"swor-all", 16},
+    {"ds-fd", 8}};
+
 TEST(BatchUpdateTest, DeterministicBackendsBitIdentical) {
-  const TestStream s = MakeStream(700, 24, 3);
+  // The second stream adds zero rows at its head, in runs longer than any
+  // block and at every 5th position: the batch path must skip each one
+  // exactly as the per-row path does.
+  TestStream zero_heavy = MakeStream(700, 24, 15);
+  for (size_t i = 0; i < zero_heavy.rows.rows(); ++i) {
+    if (i < 3 || i % 5 == 0 || (i / 70) % 4 == 1) {
+      for (size_t j = 0; j < zero_heavy.rows.cols(); ++j) {
+        zero_heavy.rows(i, j) = 0.0;
+      }
+    }
+  }
   const WindowSpec window = WindowSpec::Sequence(200);
-  for (const char* algorithm :
-       {"exact", "lm-fd", "di-fd", "lm-hash", "di-hash", "swr", "swor",
-        "swor-all"}) {
-    const BatchSerialPair p = RunBoth(algorithm, s, window);
-    EXPECT_EQ(p.serial_rows_stored, p.batched_rows_stored) << algorithm;
-    ASSERT_EQ(p.serial.rows(), p.batched.rows()) << algorithm;
-    EXPECT_EQ(p.serial.MaxAbsDiff(p.batched), 0.0) << algorithm;
+  for (const TestStream& s : {MakeStream(700, 24, 3), zero_heavy}) {
+    for (const BitIdenticalCase& c : kSequenceCases) {
+      ExpectBitIdentical(RunBoth(c.algorithm, s, window, c.ell), c.algorithm);
+    }
   }
 }
 
@@ -128,8 +179,8 @@ TEST(BatchUpdateTest, RandomizedBackendsWithinTolerance) {
 }
 
 TEST(BatchUpdateTest, TimeWindowSamplersBitIdentical) {
-  // Time windows slide between arrivals, exercising the deferred-expiry
-  // argument with multi-row evictions inside one block.
+  // Time windows slide between arrivals, so one block holds multi-row
+  // evictions.
   TestStream s = MakeStream(500, 12, 5);
   Rng rng(6);
   double t = 0.0;
@@ -139,10 +190,23 @@ TEST(BatchUpdateTest, TimeWindowSamplersBitIdentical) {
   }
   const WindowSpec window = WindowSpec::Time(50.0);
   for (const char* algorithm : {"swr", "swor", "lm-fd"}) {
-    const BatchSerialPair p = RunBoth(algorithm, s, window);
-    EXPECT_EQ(p.serial_rows_stored, p.batched_rows_stored) << algorithm;
-    ASSERT_EQ(p.serial.rows(), p.batched.rows()) << algorithm;
-    EXPECT_EQ(p.serial.MaxAbsDiff(p.batched), 0.0) << algorithm;
+    ExpectBitIdentical(RunBoth(algorithm, s, window), algorithm);
+  }
+}
+
+TEST(BatchUpdateTest, TimeWindowGapsBitIdentical) {
+  // Gaps wider than the window empty every sketch inside a block, and the
+  // stream's zero rows fall between them. The window holds ~100 rows, so
+  // a divergence before the last gap's refill is still live at the end.
+  TestStream s = MakeStream(700, 24, 16);
+  UseTimeStampsWithGaps(&s, 200.0, 17);
+  const WindowSpec window = WindowSpec::Time(200.0);
+  for (const BitIdenticalCase& c :
+       {BitIdenticalCase{"exact", 16}, BitIdenticalCase{"lm-fd", 16},
+        BitIdenticalCase{"lm-hash", 16}, BitIdenticalCase{"swr", 16},
+        BitIdenticalCase{"swor", 16}, BitIdenticalCase{"swor-all", 16},
+        BitIdenticalCase{"ds-fd", 8}}) {
+    ExpectBitIdentical(RunBoth(c.algorithm, s, window, c.ell), c.algorithm);
   }
 }
 

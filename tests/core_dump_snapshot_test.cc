@@ -97,9 +97,9 @@ TEST(DsFdTest, TimeWindowWithGaps) {
 }
 
 TEST(DsFdTest, UpdateBatchMatchesSerialInNarrowRegime) {
-  // capacity = frame ell * buffer_factor < d forces AppendBatch to replay
-  // the serial schedule, so batched ingest must be bit-identical to
-  // per-row (frame_ell_factor pinned to 1 to keep the frame FD narrow).
+  // Batched ingest runs the per-row rule, so it must be bit-identical to
+  // per-row Update (frame_ell_factor pinned to 1 to keep the frame FD
+  // narrow).
   const size_t d = 9, w = 250;
   const DsFd::Options opts{
       .ell = 8, .frame_ell_factor = 1.0, .fd_buffer_factor = 1.0};

@@ -3,11 +3,14 @@
 #include "sketch/frequent_directions.h"
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "eval/cov_err.h"
 #include "linalg/power_iteration.h"
+#include "linalg/svd.h"
 #include "util/random.h"
 
 namespace swsketch {
@@ -193,22 +196,59 @@ TEST(FrequentDirectionsTest, ShrinkNowCompactsBuffer) {
   EXPECT_LT(fd.RowsStored(), 6u + 1u);
 }
 
+// Textbook FD on ThinSvd(), the reference the Gram-eigen shrink is held
+// to: FrequentDirections' unbuffered capacity and shrink schedule (a full
+// buffer shrinks before the next append, lambda = sigma_rank^2 with
+// rank = ceil(ell / 2)), rows rebuilt from V^T, shed mass += lambda.
+class SvdReferenceFd {
+ public:
+  SvdReferenceFd(size_t dim, size_t ell)
+      : ell_(ell), rank_((ell + 1) / 2), b_(0, dim) {}
+
+  void Append(std::span<const double> row) {
+    if (b_.rows() == ell_) Shrink();
+    b_.AppendRow(row);
+  }
+
+  const Matrix& Approximation() const { return b_; }
+  size_t shrink_count() const { return shrink_count_; }
+  double shed_mass() const { return shed_mass_; }
+
+ private:
+  void Shrink() {
+    const SvdResult svd = ThinSvd(b_);
+    ++shrink_count_;
+    const std::vector<double>& sigma = svd.singular_values;
+    const double lambda =
+        rank_ <= sigma.size() ? sigma[rank_ - 1] * sigma[rank_ - 1] : 0.0;
+    b_.TruncateRows(0);
+    for (size_t i = 0; i < sigma.size() && b_.rows() < ell_; ++i) {
+      const double s2 = sigma[i] * sigma[i] - lambda;
+      if (s2 <= 0.0) break;  // Singular values are descending.
+      b_.AppendRowScaled(svd.vt.Row(i), std::sqrt(s2));
+    }
+    if (lambda > 0.0) shed_mass_ += lambda;
+  }
+
+  size_t ell_;
+  size_t rank_;
+  Matrix b_;
+  size_t shrink_count_ = 0;
+  double shed_mass_ = 0.0;
+};
+
 TEST(FrequentDirectionsTest, GramEigenMatchesThinSvdWideRoute) {
   // The Gram-eigen shrink reproduces the ThinSvd shrink's arithmetic on
   // the wide (rows <= dim) route: same Gram, same eigensolver, same
-  // normalization — only the U/V recovery is skipped. Drive both backends
-  // through hundreds of shrinks and compare the surviving buffers.
+  // normalization — only the U/V recovery is skipped. Drive both through
+  // hundreds of shrinks and compare the surviving buffers.
   const size_t d = 64, n = 2000;
   Matrix a = RandomMatrix(n, d, 31);
-  FrequentDirections gram_eigen(
-      d, FrequentDirections::Options{
-             .ell = 16, .shrink_backend = FdShrinkBackend::kGramEigen});
-  FrequentDirections thinsvd(
-      d, FrequentDirections::Options{
-             .ell = 16, .shrink_backend = FdShrinkBackend::kThinSvd});
+  FrequentDirections gram_eigen(d, FrequentDirections::Options{.ell = 16});
+  SvdReferenceFd thinsvd(d, 16);
   for (size_t i = 0; i < n; ++i) {
     gram_eigen.Append(a.Row(i), i);
-    thinsvd.Append(a.Row(i), i);
+    thinsvd.Append(a.Row(i));
   }
   EXPECT_EQ(gram_eigen.shrink_count(), thinsvd.shrink_count());
   EXPECT_NEAR(gram_eigen.shed_mass(), thinsvd.shed_mass(),
@@ -221,18 +261,14 @@ TEST(FrequentDirectionsTest, GramEigenMatchesThinSvdWideRoute) {
 }
 
 TEST(FrequentDirectionsTest, GramEigenMatchesThinSvdTallRoute) {
-  // capacity > dim forces the tall (Gram = B^T B) route in both backends.
+  // capacity > dim forces the tall (Gram = B^T B) route.
   const size_t d = 8, n = 400;
   Matrix a = RandomMatrix(n, d, 37);
-  FrequentDirections gram_eigen(
-      d, FrequentDirections::Options{
-             .ell = 12, .shrink_backend = FdShrinkBackend::kGramEigen});
-  FrequentDirections thinsvd(
-      d, FrequentDirections::Options{
-             .ell = 12, .shrink_backend = FdShrinkBackend::kThinSvd});
+  FrequentDirections gram_eigen(d, FrequentDirections::Options{.ell = 12});
+  SvdReferenceFd thinsvd(d, 12);
   for (size_t i = 0; i < n; ++i) {
     gram_eigen.Append(a.Row(i), i);
-    thinsvd.Append(a.Row(i), i);
+    thinsvd.Append(a.Row(i));
   }
   EXPECT_EQ(gram_eigen.shrink_count(), thinsvd.shrink_count());
   const double err_ge = AbsCovErr(a, gram_eigen.Approximation());

@@ -6,7 +6,9 @@
 // (reserved bytes plateau at the resident high-water mark, not at the
 // tenant count).
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -147,6 +149,54 @@ TEST(TenantManagerTest, KeyedBatchBitIdenticalToPerTenantStream) {
       ASSERT_EQ(got.value().rows(), want.rows()) << algorithm << " key " << k;
       EXPECT_EQ(got.value().MaxAbsDiff(want), 0.0) << algorithm << " key " << k;
     }
+  }
+}
+
+// A ds-fd tenant whose every keyed batch holds one zero row (skipped by the
+// per-row path) must answer byte-identically to its per-row twin (d = 3
+// ell).
+TEST(TenantManagerTest, DsFdKeyedBatchesWithZeroRowsMatchPerRowTwin) {
+  const size_t d = 24;
+  const Matrix rows = GaussianRows(900, d, 6);
+  const SketchConfig config = Config("ds-fd", d);
+  for (const WindowSpec& window :
+       {WindowSpec::Sequence(150), WindowSpec::Time(120.0)}) {
+    TenantManager::Options options;
+    options.metrics_prefix = "tm_keyed_dsfd";
+    auto made = TenantManager::Make(d, window, config, options);
+    ASSERT_TRUE(made.ok());
+    auto& manager = *made.value();
+    auto twin = MakeSlidingWindowSketch(d, window, config);
+    ASSERT_TRUE(twin.ok());
+
+    const std::vector<double> zero(d, 0.0);
+    const uint64_t key = 5;
+    const size_t sizes[] = {2, 9, 33, 64, 17};
+    size_t i = 0, b = 0;
+    double ts = 0.0;
+    while (i < rows.rows()) {
+      const size_t batch = std::min(sizes[b % 5], rows.rows() - i);
+      const size_t zero_at = (b * 7) % batch;
+      ++b;
+      std::vector<KeyedRow> keyed;
+      for (size_t j = 0; j < batch; ++j, ++i) {
+        ts += 1.0;
+        const std::span<const double> row =
+            j == zero_at ? std::span<const double>(zero) : rows.Row(i);
+        keyed.push_back(KeyedRow{key, ts, row});
+        (*twin)->Update(row, ts);
+      }
+      ASSERT_TRUE(manager.UpdateKeyed(keyed).ok());
+    }
+    auto got = manager.Query(key);
+    ASSERT_TRUE(got.ok());
+    const Matrix want = (*twin)->Query();
+    ASSERT_EQ(got.value().rows(), want.rows());
+    ASSERT_EQ(got.value().cols(), want.cols());
+    ASSERT_FALSE(want.Data().empty());
+    EXPECT_EQ(std::memcmp(got.value().Data().data(), want.Data().data(),
+                          want.Data().size() * sizeof(double)),
+              0);
   }
 }
 
