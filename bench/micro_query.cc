@@ -5,7 +5,10 @@
 //     Query() (the pre-cache behaviour), warm queries a structurally
 //     unchanged sketch and hits the merged-result cache. The two paths
 //     must return byte-identical matrices (asserted here and pinned by
-//     tests/query_cache_test).
+//     tests/query_cache_test). LM-FD gets a third latency, "close": a
+//     query right after exactly one more block has closed, which rebuilds
+//     only the merge-tree nodes over the changed blocks (not in the gated
+//     baseline; also checked byte-equal to the cold result).
 //
 //  2. Multi-reader throughput: one writer ingesting continuously through a
 //     ConcurrentSketch while {1, 2, 4} reader threads spin on Query(), in
@@ -20,6 +23,7 @@
 //
 //   ./micro_query [--ell=64] [--d=256] [--rows=20000] [--window=4000]
 //                 [--iters=2000] [--duration_ms=300] [--json=1]
+#include <algorithm>
 #include <atomic>
 #include <fstream>
 #include <iostream>
@@ -33,6 +37,7 @@
 #include "core/logarithmic_method.h"
 #include "eval/report.h"
 #include "util/flags.h"
+#include "util/metrics.h"
 #include "util/random.h"
 #include "util/timer.h"
 
@@ -117,6 +122,39 @@ void BenchWarmCold(SketchT* sketch, const Matrix& rows, const char* slug,
   cells->push_back({std::string("warm-") + slug, ell, warm_ns, 0.0});
 }
 
+// LM-FD's "close" latency: keeps ingesting `rows` cyclically (the window
+// slides, so expiry shows too) and times one Query() each time exactly one
+// more block has closed. The last such result must equal a cold recompute.
+void BenchAfterClose(LmFd* lm, const Matrix& rows, size_t ell, size_t iters,
+                     std::vector<Cell>* cells) {
+  Counter* closed = MetricsRegistry::Global().GetCounter("lm_fd.blocks_closed");
+  double ts = static_cast<double>(rows.rows());
+  size_t next = 0;
+  int64_t total_ns = 0;
+  Matrix last;
+  (void)lm->Query();  // The tree covers the current blocks.
+  for (size_t i = 0; i < iters; ++i) {
+    const uint64_t target = closed->Value() + 1;
+    while (closed->Value() < target) {
+      lm->Update(rows.Row(next), ts);
+      next = (next + 1) % rows.rows();
+      ts += 1.0;
+    }
+    Timer t;
+    last = lm->Query();
+    total_ns += t.ElapsedNanos();
+  }
+  lm->InvalidateQueryCache();
+  if (!last.ApproxEquals(lm->Query(), 0.0)) {
+    std::cerr << "FATAL: query-lm-fd after-close result != cold result\n";
+    std::exit(1);
+  }
+  const double close_ns =
+      static_cast<double>(total_ns) / static_cast<double>(iters);
+  std::cout << "query-lm-fd: after one block close " << close_ns << " ns\n";
+  cells->push_back({"close-query-lm-fd", ell, close_ns, 0.0});
+}
+
 std::unique_ptr<SlidingWindowSketch> MakeLmFd(size_t d, size_t ell,
                                               uint64_t window) {
   LmFd::Options opt;
@@ -190,6 +228,7 @@ int main(int argc, char** argv) {
     opt.block_capacity = static_cast<double>(ell) * static_cast<double>(d);
     LmFd lm(d, WindowSpec::Sequence(window), opt);
     BenchWarmCold(&lm, rows, "query-lm-fd", ell, iters, &cells);
+    BenchAfterClose(&lm, rows, ell, std::min<size_t>(iters, 100), &cells);
   }
   {
     double max_norm_sq = 0.0;

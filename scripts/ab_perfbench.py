@@ -18,6 +18,9 @@ prints both medians, the change relative to the parent, the parent's
 iqr/median, the pairs the change won (ties count for neither side) and a
 verdict against the metric's bound:
 
+  gain        the change won at least 9/10 of the pairs and its median is
+              better than the parent's by more than the parent's
+              iqr/median (the rule a claimed gain must meet)
   ok          the change's median is no worse than the parent's by more
               than the bound
   worse       it is worse by more than the bound
@@ -93,6 +96,8 @@ def verdict(parent, change, bound, lower_is_better):
     better = (lambda c, p: c < p) if lower_is_better else (lambda c, p: c > p)
     wins = sum(1 for c, p in zip(change, parent) if better(c, p))
     spread = quartile_spread(parent)
+    if wins * 10 >= 9 * len(change) and -worse_by > spread:
+        return rel, spread, wins, "gain"
     if spread > bound and not all(better(c, p) for c in change for p in parent):
         return rel, spread, wins, "unresolved"
     return rel, spread, wins, "worse" if worse_by > bound else "ok"

@@ -400,6 +400,13 @@ void DsFd::Serialize(ByteWriter* writer) const {
 }
 
 Result<DsFd> DsFd::Deserialize(ByteReader* reader) {
+  return Deserialize(reader,
+                     MetricSet(MetricScope(MetricScope::Slug("DS-FD"))),
+                     FrequentDirections::MakeShrinkScratch());
+}
+
+Result<DsFd> DsFd::Deserialize(ByteReader* reader, const MetricSet& metrics,
+                               std::shared_ptr<FdShrinkScratch> scratch) {
   if (!CheckHeader(reader, kSerialTag, 1)) {
     return Status::InvalidArgument("bad DsFd header");
   }
@@ -413,15 +420,16 @@ Result<DsFd> DsFd::Deserialize(ByteReader* reader) {
   uint8_t exact = 0;
   if (!reader->Get(&ell) || !reader->Get(&k) || !reader->Get(&trunc) ||
       !reader->Get(&fell) || !reader->Get(&factor) || !reader->Get(&eps) ||
-      !reader->Get(&exact) || ell < 2 || trunc < 0.0 || fell < 1.0 ||
-      factor < 1.0 || eps <= 0.0) {
+      !reader->Get(&exact) || ell < 2 || !(trunc >= 0.0) ||
+      !(fell >= 1.0) || !(factor >= 1.0) || !(eps > 0.0)) {
     return Status::InvalidArgument("corrupt DsFd payload");
   }
   DsFd sketch(dim, *window,
               Options{.ell = ell, .snapshots_per_window = k,
                       .snapshot_trunc = trunc, .frame_ell_factor = fell,
                       .fd_buffer_factor = factor, .frobenius_eps = eps,
-                      .exact_frobenius = exact != 0});
+                      .exact_frobenius = exact != 0},
+              metrics, std::move(scratch));
   uint64_t nframes = 0;
   if (!reader->Get(&sketch.now_) || !reader->Get(&sketch.next_id_) ||
       !sketch.tracker_.Deserialize(reader) || !reader->Get(&nframes)) {

@@ -216,9 +216,14 @@ class DsFd : public SlidingWindowSketch {
 
   /// Version 1 DS-FD wire format (v2 container conventions: framed
   /// header, explicit sizes; FD payloads use the FD tag's own format).
+  /// The second Deserialize overload reloads onto the cheap-construction
+  /// path's shared metric handles and workspace.
   static constexpr uint32_t kSerialTag = 0x44534601;  // "DSF\x01"
   void Serialize(ByteWriter* writer) const;
   static Result<DsFd> Deserialize(ByteReader* reader);
+  static Result<DsFd> Deserialize(ByteReader* reader,
+                                  const MetricSet& metrics,
+                                  std::shared_ptr<FdShrinkScratch> scratch);
   Status SerializeTo(ByteWriter* writer) const override {
     Serialize(writer);
     return Status::OK();

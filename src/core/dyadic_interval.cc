@@ -57,6 +57,13 @@ void DiFd::Serialize(ByteWriter* writer) const {
 }
 
 Result<DiFd> DiFd::Deserialize(ByteReader* reader) {
+  return Deserialize(reader,
+                     MetricSet(MetricScope(MetricScope::Slug("DI-FD"))),
+                     FrequentDirections::MakeShrinkScratch());
+}
+
+Result<DiFd> DiFd::Deserialize(ByteReader* reader, const MetricSet& metrics,
+                               std::shared_ptr<FdShrinkScratch> scratch) {
   // Version 2: per-block FD buffer factor added (version-1 payloads
   // predate amortized buffering and are not readable).
   if (!CheckHeader(reader, DiFd::kSerialTag, 2)) {
@@ -67,14 +74,15 @@ Result<DiFd> DiFd::Deserialize(ByteReader* reader) {
   if (!reader->Get(&dim) || !reader->Get(&levels) || !reader->Get(&window) ||
       !reader->Get(&max_norm_sq) || !reader->Get(&ell_top) ||
       !reader->Get(&ell_min) || !reader->Get(&fd_factor) || levels == 0 ||
-      window == 0 || max_norm_sq <= 0.0 || fd_factor < 1.0) {
+      window == 0 || !(max_norm_sq > 0.0) || !(fd_factor >= 1.0)) {
     return Status::InvalidArgument("corrupt DiFd payload");
   }
   DiFd sketch(dim, Options{.levels = levels, .window_size = window,
                            .max_norm_sq = max_norm_sq, .ell_top = ell_top,
                            .ell_min = ell_min,
-                           .fd_buffer_factor = fd_factor});
-  if (Status s = sketch.DeserializeCore(reader); !s.ok()) return s;
+                           .fd_buffer_factor = fd_factor},
+              metrics, scratch);
+  if (Status s = sketch.DeserializeCore(reader, scratch); !s.ok()) return s;
   return sketch;
 }
 

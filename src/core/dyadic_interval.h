@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -378,7 +379,12 @@ class DyadicInterval : public SlidingWindowSketch {
   }
 
   /// Loads framework state into a freshly-constructed matching object.
-  Status DeserializeCore(ByteReader* reader) {
+  /// FD sketches adopt `fd_scratch` as their shrink workspace, the one the
+  /// factory hands to sketches this instance creates (null: each creates
+  /// its own lazily).
+  Status DeserializeCore(
+      ByteReader* reader,
+      const std::shared_ptr<FdShrinkScratch>& fd_scratch = nullptr) {
     // Blocks held before the load are overwritten: settle them in the
     // ledger as discarded so the live_blocks gauge stays exact.
     const size_t overwritten = NumBlocks();
@@ -400,7 +406,7 @@ class DyadicInterval : public SlidingWindowSketch {
         return Status::InvalidArgument("corrupt DI payload");
       }
       a.started = started != 0;
-      auto sketch = SketchT::Deserialize(reader);
+      auto sketch = LoadSketch(reader, fd_scratch);
       if (!sketch.ok()) return sketch.status();
       a.sketch = sketch.take();
     }
@@ -420,7 +426,7 @@ class DyadicInterval : public SlidingWindowSketch {
             !reader->Get(&st) || !reader->Get(&et)) {
           return Status::InvalidArgument("corrupt DI payload");
         }
-        auto sketch = SketchT::Deserialize(reader);
+        auto sketch = LoadSketch(reader, fd_scratch);
         if (!sketch.ok()) return sketch.status();
         level.push_back(Block(sketch.take(), begin, end, st, et));
       }
@@ -477,6 +483,15 @@ class DyadicInterval : public SlidingWindowSketch {
           start_ts(st),
           end_ts(et) {}
   };
+
+  static Result<SketchT> LoadSketch(
+      ByteReader* reader, const std::shared_ptr<FdShrinkScratch>& fd_scratch) {
+    auto sketch = SketchT::Deserialize(reader);
+    if constexpr (std::is_same_v<SketchT, FrequentDirections>) {
+      if (sketch.ok() && fd_scratch) sketch->ShareShrinkScratch(fd_scratch);
+    }
+    return sketch;
+  }
 
   // Forwards rows[rb:re) to one active sketch. FD replays per-row appends
   // so the shrink schedule — and hence DI-FD's state — is bit-identical to
@@ -600,10 +615,15 @@ class DiFd : public DyadicInterval<FrequentDirections> {
   DiFd(size_t dim, Options options, const MetricSet& metrics,
        std::shared_ptr<FdShrinkScratch> scratch);
 
-  /// Checkpoint/resume of the full sliding-window state.
+  /// Checkpoint/resume of the full sliding-window state. The first
+  /// overload resolves its own metric handles and workspace; the second
+  /// reloads onto the cheap-construction path's shared ones.
   static constexpr uint32_t kSerialTag = 0x44494601;
   void Serialize(ByteWriter* writer) const;
   static Result<DiFd> Deserialize(ByteReader* reader);
+  static Result<DiFd> Deserialize(ByteReader* reader,
+                                  const MetricSet& metrics,
+                                  std::shared_ptr<FdShrinkScratch> scratch);
   Status SerializeTo(ByteWriter* writer) const override {
     Serialize(writer);
     return Status::OK();

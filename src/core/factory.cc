@@ -1,6 +1,7 @@
 #include "core/factory.h"
 
 #include <new>
+#include <tuple>
 #include <utility>
 
 #include "amm/amm_exact.h"
@@ -30,15 +31,34 @@ SlidingWindowSketch* Place(void* mem, Args&&... args) {
 // Binds T's constructor arguments, resolved once, into a BoundBackend.
 template <typename T, typename... Args>
 BoundBackend Bind(Args... args) {
-  return {[args...](void* mem) { return Place<T>(mem, args...); },
-          sizeof(T), alignof(T)};
+  return {.construct = [args...](void* mem) { return Place<T>(mem, args...); },
+          .size = sizeof(T),
+          .align = alignof(T)};
 }
 
-template <typename T>
-Result<SlidingWindowSketch*> Load(void* mem, ByteReader* reader) {
-  auto loaded = T::Deserialize(reader);
+// Reloads T via T::Deserialize(reader, handles...) into `mem` (nullptr:
+// onto the heap). Without handles T resolves its own.
+template <typename T, typename... Handles>
+Result<SlidingWindowSketch*> Load(void* mem, ByteReader* reader,
+                                  const Handles&... handles) {
+  auto loaded = T::Deserialize(reader, handles...);
   if (!loaded.ok()) return loaded.status();
   return Place<T>(mem, loaded.take());
+}
+
+// Binds T's constructor arguments and the resolved handles (metric set,
+// shrink workspace) that end both T's constructor and T::Deserialize's
+// argument lists, so reloaded instances share what fresh ones get.
+template <typename T, typename... Handles, typename... Args>
+BoundBackend BindShared(std::tuple<Handles...> handles, Args... args) {
+  BoundBackend bound = std::apply(
+      [&](const Handles&... h) { return Bind<T>(args..., h...); }, handles);
+  bound.load = [handles](void* mem, ByteReader* reader) {
+    return std::apply(
+        [&](const Handles&... h) { return Load<T>(mem, reader, h...); },
+        handles);
+  };
+  return bound;
 }
 
 Result<BoundBackend> ResolveSwr(size_t dim, const WindowSpec& window,
@@ -65,19 +85,21 @@ Result<BoundBackend> ResolveSwor(size_t dim, const WindowSpec& window,
 
 Result<BoundBackend> ResolveLmFd(size_t dim, const WindowSpec& window,
                                  const SketchConfig& c) {
-  return Bind<LmFd>(
+  return BindShared<LmFd>(
+      std::tuple(LmFd::MetricSet(MetricScope(MetricScope::Slug("LM-FD"))),
+                 FrequentDirections::MakeShrinkScratch()),
       dim, window,
       LmFd::Options{.ell = c.ell,
                     .blocks_per_level = c.blocks_per_level,
                     .block_capacity = c.lm_block_capacity,
-                    .fd_buffer_factor = c.fd_buffer_factor},
-      LmFd::MetricSet(MetricScope(MetricScope::Slug("LM-FD"))),
-      FrequentDirections::MakeShrinkScratch());
+                    .fd_buffer_factor = c.fd_buffer_factor});
 }
 
 Result<BoundBackend> ResolveDsFd(size_t dim, const WindowSpec& window,
                                  const SketchConfig& c) {
-  return Bind<DsFd>(
+  return BindShared<DsFd>(
+      std::tuple(DsFd::MetricSet(MetricScope(MetricScope::Slug("DS-FD"))),
+                 FrequentDirections::MakeShrinkScratch()),
       dim, window,
       DsFd::Options{.ell = c.ell,
                     .snapshots_per_window = c.ds_snapshots_per_window,
@@ -85,20 +107,18 @@ Result<BoundBackend> ResolveDsFd(size_t dim, const WindowSpec& window,
                     .frame_ell_factor = c.ds_frame_ell_factor,
                     .fd_buffer_factor = c.ds_fd_buffer_factor,
                     .frobenius_eps = c.frobenius_eps,
-                    .exact_frobenius = c.exact_frobenius},
-      DsFd::MetricSet(MetricScope(MetricScope::Slug("DS-FD"))),
-      FrequentDirections::MakeShrinkScratch());
+                    .exact_frobenius = c.exact_frobenius});
 }
 
 Result<BoundBackend> ResolveLmHash(size_t dim, const WindowSpec& window,
                                    const SketchConfig& c) {
-  return Bind<LmHash>(
+  return BindShared<LmHash>(
+      std::tuple(LmHash::MetricSet(MetricScope(MetricScope::Slug("LM-HASH")))),
       dim, window,
       LmHash::Options{.ell = c.ell,
                       .blocks_per_level = c.blocks_per_level,
                       .block_capacity = c.lm_block_capacity,
-                      .seed = c.seed},
-      LmHash::MetricSet(MetricScope(MetricScope::Slug("LM-HASH"))));
+                      .seed = c.seed});
 }
 
 Result<BoundBackend> ResolveLmRp(size_t dim, const WindowSpec& window,
@@ -112,15 +132,15 @@ Result<BoundBackend> ResolveLmRp(size_t dim, const WindowSpec& window,
 
 Result<BoundBackend> ResolveDiFd(size_t dim, const WindowSpec& window,
                                  const SketchConfig& c) {
-  return Bind<DiFd>(
+  return BindShared<DiFd>(
+      std::tuple(DiFd::MetricSet(MetricScope(MetricScope::Slug("DI-FD"))),
+                 FrequentDirections::MakeShrinkScratch()),
       dim,
       DiFd::Options{.levels = c.levels,
                     .window_size = static_cast<uint64_t>(window.extent()),
                     .max_norm_sq = c.max_norm_sq,
                     .ell_top = c.ell,
-                    .fd_buffer_factor = c.fd_buffer_factor},
-      DiFd::MetricSet(MetricScope(MetricScope::Slug("DI-FD"))),
-      FrequentDirections::MakeShrinkScratch());
+                    .fd_buffer_factor = c.fd_buffer_factor});
 }
 
 Result<BoundBackend> ResolveDiRp(size_t dim, const WindowSpec& window,
@@ -190,14 +210,17 @@ Result<BoundBackend> ResolveAmmStacked(size_t dim, const WindowSpec& window,
   auto inner = Inner(dim, window, c);
   if (!inner.ok()) return inner.status();
   return BoundBackend{
-      [dim_a = *dim_a, dim_b = dim - *dim_a, inner = inner.take(),
-       metrics = AmmSketch::MetricSet(MetricScope("amm"))](void* mem) {
-        return Place<AmmStacked>(
-            mem, dim_a, dim_b,
-            std::unique_ptr<SlidingWindowSketch>(inner.construct(nullptr)),
-            metrics);
-      },
-      sizeof(AmmStacked), alignof(AmmStacked)};
+      .construct =
+          [dim_a = *dim_a, dim_b = dim - *dim_a, inner = inner.take(),
+           metrics = AmmSketch::MetricSet(MetricScope("amm"))](void* mem) {
+            return Place<AmmStacked>(
+                mem, dim_a, dim_b,
+                std::unique_ptr<SlidingWindowSketch>(
+                    inner.construct(nullptr)),
+                metrics);
+          },
+      .size = sizeof(AmmStacked),
+      .align = alignof(AmmStacked)};
 }
 
 constexpr BackendRow kBackends[] = {
@@ -345,7 +368,7 @@ Result<SketchPrototype> SketchPrototype::Make(size_t dim, WindowSpec window,
   if (!resolved.ok()) return resolved.status();
   SketchPrototype proto;
   proto.bound_ = std::move(resolved->bound);
-  proto.load_ = resolved->row->load;
+  if (!proto.bound_.load) proto.bound_.load = resolved->row->load;
   proto.dim_ = dim;
   proto.window_ = window;
   return proto;

@@ -92,9 +92,13 @@ struct SketchConfig {
 /// with options, metric handles and (FD-backed backends) one shrink
 /// workspace bound in. `construct(nullptr)` heap-allocates an instance
 /// (release it with `delete`); `construct(mem)` placement-constructs into
-/// `size` bytes at `align` alignment.
+/// `size` bytes at `align` alignment. `load`, when set, reloads a payload
+/// the same way onto the same handles; when empty, reloads go through the
+/// table row's `load`, which resolves its own.
 struct BoundBackend {
   std::function<SlidingWindowSketch*(void* mem)> construct;
+  std::function<Result<SlidingWindowSketch*>(void* mem, ByteReader*)> load =
+      nullptr;
   size_t size = 0;
   size_t align = 0;
 };
@@ -150,7 +154,8 @@ QueryReduceSpec ReduceSpecFor(const std::string& algorithm, size_t ell);
 /// registry mutex and name lookup once here instead of once per tenant,
 /// and every FD-backed instance shares one shrink workspace (safe while
 /// instances are driven one at a time, which the owning manager
-/// guarantees; the workspace never influences results).
+/// guarantees; the workspace never influences results). Reloads through
+/// DeserializeAt share the same handles and workspace.
 ///
 /// The caller owns the storage: instance_size() bytes at instance_align()
 /// alignment per instance, destruction via the virtual destructor
@@ -167,7 +172,7 @@ class SketchPrototype {
 
   /// True when instances support SerializeTo / DeserializeAt (the
   /// algorithms DeserializeSlidingWindowSketch can reload).
-  bool serializable() const { return load_ != nullptr; }
+  bool serializable() const { return static_cast<bool>(bound_.load); }
 
   size_t dim() const { return dim_; }
   const WindowSpec& window() const { return window_; }
@@ -182,14 +187,13 @@ class SketchPrototype {
   /// Requires serializable().
   Result<SlidingWindowSketch*> DeserializeAt(void* mem,
                                              ByteReader* reader) const {
-    return load_(mem, reader);
+    return bound_.load(mem, reader);
   }
 
  private:
   SketchPrototype() = default;
 
-  BoundBackend bound_;
-  Result<SlidingWindowSketch*> (*load_)(void*, ByteReader*) = nullptr;
+  BoundBackend bound_;  // `load` falls back to the table row's.
   size_t dim_ = 0;
   WindowSpec window_ = WindowSpec::Sequence(1);
 };

@@ -1,5 +1,7 @@
 #include "core/logarithmic_method.h"
 
+#include <cmath>
+
 namespace swsketch {
 
 namespace {
@@ -51,6 +53,13 @@ void LmFd::Serialize(ByteWriter* writer) const {
 }
 
 Result<LmFd> LmFd::Deserialize(ByteReader* reader) {
+  return Deserialize(reader,
+                     MetricSet(MetricScope(MetricScope::Slug("LM-FD"))),
+                     FrequentDirections::MakeShrinkScratch());
+}
+
+Result<LmFd> LmFd::Deserialize(ByteReader* reader, const MetricSet& metrics,
+                               std::shared_ptr<FdShrinkScratch> scratch) {
   // Version 2: per-block FD buffer factor added (version-1 payloads
   // predate amortized buffering and are not readable).
   if (!CheckHeader(reader, LmFd::kSerialTag, 2)) {
@@ -62,14 +71,16 @@ Result<LmFd> LmFd::Deserialize(ByteReader* reader) {
   auto window = WindowSpec::Deserialize(reader);
   if (!window.ok()) return window.status();
   if (!reader->Get(&ell) || !reader->Get(&b) || !reader->Get(&capacity) ||
-      !reader->Get(&fd_factor) || ell < 2 || b < 2 || fd_factor < 1.0) {
+      !reader->Get(&fd_factor) || ell < 2 || b < 2 ||
+      std::isnan(capacity) || !(fd_factor >= 1.0)) {
     return Status::InvalidArgument("corrupt LmFd payload");
   }
   LmFd sketch(dim, *window,
               Options{.ell = ell, .blocks_per_level = b,
                       .block_capacity = capacity,
-                      .fd_buffer_factor = fd_factor});
-  if (Status s = sketch.DeserializeCore(reader); !s.ok()) return s;
+                      .fd_buffer_factor = fd_factor},
+              metrics, scratch);
+  if (Status s = sketch.DeserializeCore(reader, scratch); !s.ok()) return s;
   return sketch;
 }
 
@@ -103,6 +114,12 @@ void LmHash::Serialize(ByteWriter* writer) const {
 }
 
 Result<LmHash> LmHash::Deserialize(ByteReader* reader) {
+  return Deserialize(reader,
+                     MetricSet(MetricScope(MetricScope::Slug("LM-HASH"))));
+}
+
+Result<LmHash> LmHash::Deserialize(ByteReader* reader,
+                                   const MetricSet& metrics) {
   if (!CheckHeader(reader, LmHash::kSerialTag, 1)) {
     return Status::InvalidArgument("bad LmHash header");
   }
@@ -112,12 +129,14 @@ Result<LmHash> LmHash::Deserialize(ByteReader* reader) {
   auto window = WindowSpec::Deserialize(reader);
   if (!window.ok()) return window.status();
   if (!reader->Get(&ell) || !reader->Get(&b) || !reader->Get(&capacity) ||
-      !reader->Get(&seed) || ell == 0 || b < 2) {
+      !reader->Get(&seed) || ell == 0 || b < 2 ||
+      std::isnan(capacity)) {
     return Status::InvalidArgument("corrupt LmHash payload");
   }
   LmHash sketch(dim, *window,
                 Options{.ell = ell, .blocks_per_level = b,
-                        .block_capacity = capacity, .seed = seed});
+                        .block_capacity = capacity, .seed = seed},
+                metrics);
   if (Status s = sketch.DeserializeCore(reader); !s.ok()) return s;
   return sketch;
 }

@@ -25,11 +25,15 @@
 // keyed on (version, live-block count) — under a fixed structure the live
 // set only shrinks as the window slides, so the count pins the set — and
 // the final approximation is additionally keyed on the active-block row
-// identity. A warm query is therefore an O(ell d) copy instead of an
-// O(#blocks) merge chain, bit-identical to the cold path. The cold merge
-// itself runs as a deterministic pairwise reduction tree whose pairing
-// depends only on the leaf count, so executing tree levels on the shared
-// ThreadPool is byte-identical to the serial schedule.
+// identity. A warm query is therefore an O(ell d) copy, bit-identical to
+// the cold path. A merged-blocks miss reduces the live blocks with a
+// deterministic pairwise merge tree whose pairing depends only on the leaf
+// count, so executing tree levels on the shared ThreadPool is
+// byte-identical to the serial schedule. The tree is kept across queries
+// and every closed block carries a per-instance id, so a miss rebuilds
+// only the nodes over blocks that changed since the tree was last built:
+// a block close that cascades nowhere costs about log2(#blocks) merges
+// instead of #blocks - 1.
 //
 // SketchT requirements: constructible via the factory callable,
 // Append(span<const double>, uint64_t id), MergeWith(const SketchT&),
@@ -41,6 +45,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -106,6 +111,8 @@ class LogarithmicMethod : public SlidingWindowSketch {
           merge_cache_hits(scope.counter("merge_cache_hits")),
           merge_cache_misses(scope.counter("merge_cache_misses")),
           cold_merges(scope.counter("cold_merges")),
+          merge_nodes_rebuilt(scope.counter("merge_nodes_rebuilt")),
+          merge_nodes_reused(scope.counter("merge_nodes_reused")),
           reloads(scope.counter("reloads")),
           live_blocks(scope.gauge("live_blocks")) {}
     Counter* rows_ingested;
@@ -122,6 +129,8 @@ class LogarithmicMethod : public SlidingWindowSketch {
     Counter* merge_cache_hits;
     Counter* merge_cache_misses;
     Counter* cold_merges;
+    Counter* merge_nodes_rebuilt;
+    Counter* merge_nodes_reused;
     Counter* reloads;
     Gauge* live_blocks;
   };
@@ -243,7 +252,7 @@ class LogarithmicMethod : public SlidingWindowSketch {
           // pins it. Warm path: copy the merged closed blocks and replay
           // the active rows — exactly the computation the cold path
           // performs after its merge, so the result is byte-identical to
-          // an uncached query.
+          // an uncached query. A miss brings the merge tree up to date.
           SketchT acc = blocks_memo_.Get(
               {structure_version_, live}, metrics_.merge_cache_hits,
               metrics_.merge_cache_misses,
@@ -255,11 +264,13 @@ class LogarithmicMethod : public SlidingWindowSketch {
         });
   }
 
-  /// Drops the cached merged blocks and cached result so the next Query()
-  /// takes the cold path (bench/test hook; behaviour is unchanged).
+  /// Drops the cached merged blocks, the merge tree and the cached result
+  /// so the next Query() takes the cold path and merges every live block
+  /// (bench/test hook; behaviour is unchanged).
   void InvalidateQueryCache() {
     blocks_memo_.Reset();
     result_memo_.Reset();
+    tree_.reset();
   }
 
   /// Structure version: bumped whenever a block closes, merges up a level,
@@ -294,6 +305,17 @@ class LogarithmicMethod : public SlidingWindowSketch {
     return n;
   }
 
+  /// Closed blocks the next Query() merges: those starting inside the
+  /// window (test hook).
+  size_t NumLiveBlocks() const {
+    const double start = window_.Start(now_);
+    size_t n = 0;
+    for (const auto& level : levels_) {
+      for (const Block& blk : level) n += blk.start >= start ? 1 : 0;
+    }
+    return n;
+  }
+
   /// Serializes the framework state (blocks, active rows, counters); the
   /// concrete subclass serializes its own configuration first so that
   /// Deserialize can reconstruct the object before loading state.
@@ -322,8 +344,12 @@ class LogarithmicMethod : public SlidingWindowSketch {
   }
 
   /// Loads the framework state into a freshly-constructed object whose
-  /// configuration already matches the serialized one.
-  Status DeserializeCore(ByteReader* reader) {
+  /// configuration already matches the serialized one. FD blocks adopt
+  /// `block_scratch` as their shrink workspace, the one the factory hands
+  /// to blocks this instance closes (null: each creates its own lazily).
+  Status DeserializeCore(
+      ByteReader* reader,
+      const std::shared_ptr<FdShrinkScratch>& block_scratch = nullptr) {
     // Blocks held before the load are overwritten: settle them in the
     // ledger as discarded so the live_blocks gauge stays exact.
     const size_t overwritten = NumBlocks();
@@ -366,7 +392,9 @@ class LogarithmicMethod : public SlidingWindowSketch {
         }
         auto sketch = SketchT::Deserialize(reader);
         if (!sketch.ok()) return sketch.status();
-        level.push_back(Block{sketch.take(), start, end, mass});
+        if (block_scratch) UseScratch(&*sketch, block_scratch);
+        level.push_back(Block{sketch.take(), start, end, mass,
+                              next_block_id_++});
       }
     }
     // Cache state is never serialized: a reloaded sketch starts cold with
@@ -420,6 +448,21 @@ class LogarithmicMethod : public SlidingWindowSketch {
     double start;
     double end;
     double mass;
+    // Per-instance identity of the sketch bytes, assigned when the block
+    // is created (close, cascade merge, load) and kept by a promotion.
+    uint64_t id;
+  };
+
+  // The pairwise merge tree over the live blocks, kept across queries.
+  // levels[j - 1][p] is node (j, p): the merge of nodes (j - 1, 2p) and
+  // (j - 1, 2p + 1), with level 0 the live blocks in merge order, so it
+  // covers leaves [p 2^j, min((p + 1) 2^j, m)). A node without a right
+  // sibling is its left child passed up unchanged; it stays empty and is
+  // read through (Node()). Nodes hold only their rows: no shrink workspace
+  // outlives the rebuild that used it.
+  struct MergeTree {
+    std::vector<uint64_t> ids;  // Leaf ids the nodes were built over.
+    std::vector<std::vector<std::optional<SketchT>>> levels;
   };
 
   // Capacity of level index `li` (level li+1 in paper numbering): 2^li * C.
@@ -428,7 +471,8 @@ class LogarithmicMethod : public SlidingWindowSketch {
   }
 
   void CloseActiveBlock() {
-    Block blk{factory_(), active_.start, active_.end, active_.mass};
+    Block blk{factory_(), active_.start, active_.end, active_.mass,
+              next_block_id_++};
     for (const RawRow& rr : active_.rows) {
       blk.sketch.Append(rr.row->view(), rr.id);
     }
@@ -455,6 +499,7 @@ class LogarithmicMethod : public SlidingWindowSketch {
           oldest.sketch.MergeWith(second.sketch);
           oldest.end = second.end;
           oldest.mass += second.mass;
+          oldest.id = next_block_id_++;
           levels_[li].pop_front();
           metrics_.level_merges->Add();
           metrics_.live_blocks->Add(-1);
@@ -468,49 +513,100 @@ class LogarithmicMethod : public SlidingWindowSketch {
     }
   }
 
-  // Deterministic pairwise reduction of the live blocks collected in
-  // live_scratch_. The pairing depends only on the leaf count, and every
-  // pair merge at a tree level is independent, so running a level's merges
-  // on the thread pool produces bytes identical to the serial schedule.
-  // FD accumulators detach from the shared shrink arena first: the arena
-  // contents never influence results, but concurrent pair merges must not
-  // share one workspace.
+  // Merged-blocks miss: brings the merge tree up to date with the live
+  // blocks in live_scratch_ and returns a copy of its root. A block's
+  // sketch never changes under one id, so a node whose leaf range ends
+  // before the first position where the live ids differ from the cached
+  // ones would be recomputed bit for bit from the same operands; only the
+  // nodes after it on each level are rebuilt. A close appends at the
+  // newest end and a cascade replaces two blocks in place, so most of the
+  // tree survives; when the oldest block leaves the window every position
+  // shifts and the whole tree is rebuilt. The pairing is the fixed
+  // front-aligned one, so the root equals a cold reduction byte for byte.
+  // A level's rebuilt nodes are independent and run on the thread pool,
+  // one shrink workspace per chunk (the arena contents never influence
+  // results, but concurrent merges must not share one workspace).
   SketchT MergeLiveBlocks() {
     metrics_.cold_merges->Add();
     const size_t m = live_scratch_.size();
-    if (m == 0) return factory_();
-    std::vector<std::optional<SketchT>> nodes((m + 1) / 2);
-    ParallelFor(
-        nodes.size(),
-        [&](size_t p) {
-          SketchT acc = live_scratch_[2 * p]->sketch;
-          DetachScratch(&acc);
-          if (2 * p + 1 < m) acc.MergeWith(live_scratch_[2 * p + 1]->sketch);
-          nodes[p].emplace(std::move(acc));
-        },
-        {.grain = 1});
-    size_t width = nodes.size();
-    while (width > 1) {
-      const size_t next = (width + 1) / 2;
-      ParallelFor(
-          next,
-          [&](size_t p) {
-            if (2 * p + 1 < width) {
-              nodes[2 * p]->MergeWith(*nodes[2 * p + 1]);
+    if (!tree_) tree_ = std::make_unique<MergeTree>();
+    MergeTree& tree = *tree_;
+    size_t same = 0;  // Length of the unchanged id prefix.
+    while (same < m && same < tree.ids.size() &&
+           tree.ids[same] == live_scratch_[same]->id) {
+      ++same;
+    }
+    const bool unchanged = same == m && same == tree.ids.size();
+    // Empty until the rebuild completes, so a merge that throws leaves a
+    // tree the next miss rebuilds in full.
+    tree.ids.clear();
+
+    size_t depth = 0;
+    for (size_t w = m; w > 0 && (depth == 0 || w > 1); w = (w + 1) / 2) {
+      ++depth;
+    }
+    tree.levels.resize(depth);
+    const size_t threads = ThreadPool::Shared().num_threads();
+    std::vector<std::shared_ptr<FdShrinkScratch>> workspaces(threads);
+    size_t child_width = m, rebuilt = 0;
+    for (size_t j = 1; j <= depth; ++j) {
+      const size_t width = (child_width + 1) / 2;
+      auto& level = tree.levels[j - 1];
+      level.resize(width);
+      const size_t keep = unchanged ? width : std::min(width, same >> j);
+      const size_t n = width - keep;
+      rebuilt += n;
+      const size_t grain = (n + threads - 1) / threads;
+      ParallelForChunks(
+          n,
+          [&](size_t begin, size_t end) {
+            std::shared_ptr<FdShrinkScratch>& ws = workspaces[begin / grain];
+            if (!ws) ws = NewScratch();
+            for (size_t p = keep + begin; p < keep + end; ++p) {
+              if (2 * p + 1 >= child_width) {
+                level[p].reset();  // Passed up unchanged.
+                continue;
+              }
+              SketchT node = Node(j - 1, 2 * p);
+              UseScratch(&node, ws);
+              node.MergeWith(Node(j - 1, 2 * p + 1));
+              UseScratch(&node, nullptr);
+              level[p].emplace(std::move(node));
             }
           },
-          {.grain = 1});
-      // Compact serially: tasks above read nodes[2p + 1], which is exactly
-      // the slot a concurrent compaction of pair p' = 2p + 1 would move.
-      for (size_t p = 1; p < next; ++p) nodes[p] = std::move(nodes[2 * p]);
-      width = next;
+          {.grain = grain});
+      child_width = width;
     }
-    return std::move(*nodes[0]);
+    size_t total = 0;
+    for (const auto& level : tree.levels) total += level.size();
+    metrics_.merge_nodes_rebuilt->Add(rebuilt);
+    metrics_.merge_nodes_reused->Add(total - rebuilt);
+    for (const Block* blk : live_scratch_) tree.ids.push_back(blk->id);
+
+    if (m == 0) return factory_();
+    SketchT root = Node(depth, 0);
+    UseScratch(&root, NewScratch());
+    return root;
   }
 
-  static void DetachScratch(SketchT* sketch) {
+  // Node (j, p) of the merge tree, reading pass-through nodes through to
+  // the left descendant that holds their bytes (j = 0: live block p).
+  const SketchT& Node(size_t j, size_t p) const {
+    for (; j > 0 && !tree_->levels[j - 1][p]; --j) p *= 2;
+    return j == 0 ? live_scratch_[p]->sketch : *tree_->levels[j - 1][p];
+  }
+
+  // Shrink workspaces exist only for FD; other sketch types ignore them.
+  static std::shared_ptr<FdShrinkScratch> NewScratch() {
     if constexpr (std::is_same_v<SketchT, FrequentDirections>) {
-      sketch->ShareShrinkScratch(FrequentDirections::MakeShrinkScratch());
+      return FrequentDirections::MakeShrinkScratch();
+    }
+    return nullptr;
+  }
+  static void UseScratch(SketchT* sketch,
+                         std::shared_ptr<FdShrinkScratch> scratch) {
+    if constexpr (std::is_same_v<SketchT, FrequentDirections>) {
+      sketch->ShareShrinkScratch(std::move(scratch));
     }
   }
 
@@ -574,6 +670,8 @@ class LogarithmicMethod : public SlidingWindowSketch {
   uint64_t structure_version_ = 0;
   uint64_t mutation_version_ = 0;  // Every Update/AdvanceTo/reload.
   std::vector<const Block*> live_scratch_;  // Rebuilt by every Query().
+  uint64_t next_block_id_ = 0;  // Runtime identity only; never serialized.
+  std::unique_ptr<MergeTree> tree_;  // Built by the first merged-blocks miss.
   Memo<std::tuple<uint64_t, size_t>, SketchT> blocks_memo_;
   Memo<std::tuple<uint64_t, size_t, uint64_t, size_t>, Matrix> result_memo_;
 };
@@ -605,10 +703,17 @@ class LmFd : public LogarithmicMethod<FrequentDirections> {
   LmFd(size_t dim, WindowSpec window, Options options,
        const MetricSet& metrics, std::shared_ptr<FdShrinkScratch> scratch);
 
-  /// Checkpoint/resume of the full sliding-window state.
+  /// Checkpoint/resume of the full sliding-window state. The first
+  /// overload resolves its own metric handles and workspace; the second
+  /// reloads onto the cheap-construction path's shared ones, and every
+  /// reloaded block shares `scratch` exactly like a block this instance
+  /// closes.
   static constexpr uint32_t kSerialTag = 0x4C4D4601;
   void Serialize(ByteWriter* writer) const;
   static Result<LmFd> Deserialize(ByteReader* reader);
+  static Result<LmFd> Deserialize(ByteReader* reader,
+                                  const MetricSet& metrics,
+                                  std::shared_ptr<FdShrinkScratch> scratch);
   Status SerializeTo(ByteWriter* writer) const override {
     Serialize(writer);
     return Status::OK();
@@ -635,10 +740,13 @@ class LmHash : public LogarithmicMethod<HashSketch> {
   LmHash(size_t dim, WindowSpec window, Options options,
          const MetricSet& metrics);
 
-  /// Checkpoint/resume of the full sliding-window state.
+  /// Checkpoint/resume of the full sliding-window state; the second
+  /// overload reloads onto pre-resolved metric handles.
   static constexpr uint32_t kSerialTag = 0x4C4D4801;
   void Serialize(ByteWriter* writer) const;
   static Result<LmHash> Deserialize(ByteReader* reader);
+  static Result<LmHash> Deserialize(ByteReader* reader,
+                                    const MetricSet& metrics);
   Status SerializeTo(ByteWriter* writer) const override {
     Serialize(writer);
     return Status::OK();

@@ -586,10 +586,13 @@ Result<Matrix> Matrix::Deserialize(ByteReader* reader) {
   uint64_t rows = 0, cols = 0;
   std::vector<double> data;
   if (!reader->Get(&rows) || !reader->Get(&cols) ||
-      !reader->GetVector(&data) || data.size() != rows * cols) {
+      !reader->GetVector(&data) || data.size() != rows * cols ||
+      (cols != 0 && rows > data.size() / cols)) {  // rows * cols wrapped.
     return Status::InvalidArgument("corrupt Matrix payload");
   }
-  Matrix m(rows, cols);
+  Matrix m;  // Adopts the decoded data without a zero-filled copy first.
+  m.rows_ = rows;
+  m.cols_ = cols;
   m.data_ = std::move(data);
   return m;
 }

@@ -138,6 +138,10 @@ class FrequentDirections : public MatrixSketch {
   static Result<FrequentDirections> Deserialize(ByteReader* reader);
 
  private:
+  // Adopts `b` as the buffer as is (Deserialize); the public constructor
+  // passes an empty one and reserves the full capacity.
+  FrequentDirections(size_t dim, Options options, Matrix b);
+
   // Shrinks the current buffer with lambda = sigma_{rank}^2 (1-indexed;
   // values beyond the actual rank mean lambda = 0), rewriting b_ in place.
   void ShrinkWithRank(size_t rank);

@@ -110,7 +110,8 @@ void ExponentialHistogram::Serialize(ByteWriter* writer) const {
 
 bool ExponentialHistogram::Deserialize(ByteReader* reader) {
   uint64_t n = 0;
-  if (!reader->Get(&eps_) || !reader->Get(&last_ts_) || !reader->Get(&n)) {
+  if (!reader->Get(&eps_) || !reader->Get(&last_ts_) || !reader->Get(&n) ||
+      !(eps_ > 0.0 && eps_ < 1.0)) {
     return false;
   }
   boundaries_.clear();

@@ -95,6 +95,84 @@ TEST(MetricsInvariantsTest, LmQueryCacheAccountsForEveryQuery) {
   EXPECT_EQ(dmh + dmm, dm);
 }
 
+// Nodes of the pairwise merge tree over m live blocks: ceil(m / 2^j) at
+// every level j >= 1, down to the single root (none for m = 0).
+size_t MergeTreeSize(size_t m) {
+  size_t size = 0;
+  for (size_t j = 1; m > 0; ++j) {
+    const size_t width = (m + (size_t{1} << j) - 1) >> j;
+    size += width;
+    if (width == 1) break;
+  }
+  return size;
+}
+
+// Node ledger of the kept merge tree: every merged-blocks miss accounts
+// for each node of the tree over that miss's live blocks as either
+// rebuilt or reused, a miss whose live blocks are the ones the tree was
+// built over (only the excluded straddling block expired) rebuilds
+// nothing, and a miss after InvalidateQueryCache() rebuilds everything.
+TEST(MetricsInvariantsTest, LmMergeTreeNodeLedger) {
+  const size_t d = 10;
+  const Matrix rows = GaussianRows(600, d, 3);
+  LmFd::Options opt;
+  opt.ell = 6;
+  opt.blocks_per_level = 3;
+  opt.block_capacity = 8.0 * static_cast<double>(d);
+  LmFd lm(d, WindowSpec::Time(90.0), opt);
+  Rng rng(4);
+  const auto structural = [] {
+    return C("lm_fd.blocks_closed") + C("lm_fd.level_merges") +
+           C("lm_fd.block_promotions");
+  };
+  double ts = 0.0;
+  size_t misses = 0, partial = 0, unchanged = 0;
+  for (size_t i = 0; i < rows.rows(); ++i) {
+    ts += rng.Uniform(0.2, 1.8);
+    const uint64_t version0 = lm.structure_version();
+    const uint64_t structural0 = structural();
+    const size_t live0 = lm.NumLiveBlocks();
+    if (i % 5 == 4) {
+      lm.AdvanceTo(ts);
+    } else {
+      lm.Update(rows.Row(i), ts);
+    }
+    const size_t live = lm.NumLiveBlocks();
+    const uint64_t rebuilt0 = C("lm_fd.merge_nodes_rebuilt");
+    const uint64_t reused0 = C("lm_fd.merge_nodes_reused");
+    const uint64_t misses0 = C("lm_fd.merge_cache_misses");
+    (void)lm.Query();
+    const uint64_t rebuilt = C("lm_fd.merge_nodes_rebuilt") - rebuilt0;
+    const uint64_t reused = C("lm_fd.merge_nodes_reused") - reused0;
+    if (C("lm_fd.merge_cache_misses") == misses0) {
+      EXPECT_EQ(rebuilt + reused, 0u) << "row " << i;
+      continue;
+    }
+    ++misses;
+    EXPECT_EQ(rebuilt + reused, MergeTreeSize(live)) << "row " << i;
+    partial += rebuilt > 0 && reused > 0 ? 1 : 0;
+    if (i > 0 && lm.structure_version() != version0 &&
+        structural() == structural0 && live == live0) {
+      ++unchanged;
+      EXPECT_EQ(rebuilt, 0u) << "row " << i;
+    }
+    if (i % 97 == 0) {
+      lm.InvalidateQueryCache();
+      const uint64_t cold_rebuilt0 = C("lm_fd.merge_nodes_rebuilt");
+      const uint64_t cold_reused0 = C("lm_fd.merge_nodes_reused");
+      (void)lm.Query();
+      EXPECT_EQ(C("lm_fd.merge_nodes_rebuilt") - cold_rebuilt0,
+                MergeTreeSize(live))
+          << "row " << i;
+      EXPECT_EQ(C("lm_fd.merge_nodes_reused") - cold_reused0, 0u)
+          << "row " << i;
+    }
+  }
+  EXPECT_GT(misses, 50u);
+  EXPECT_GT(partial, 10u);
+  EXPECT_GT(unchanged, 0u);
+}
+
 TEST(MetricsInvariantsTest, LmBlockLedgerBalancesAndSettlesOnDestruction) {
   const size_t d = 10;
   const Matrix rows = GaussianRows(400, d, 2);

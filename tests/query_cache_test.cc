@@ -29,6 +29,7 @@
 #include "linalg/matrix.h"
 #include "util/memo.h"
 #include "util/metrics.h"
+#include "util/parallel.h"
 #include "util/random.h"
 #include "util/serialize.h"
 
@@ -666,5 +667,125 @@ TEST(QueryCacheKeyTest, AmmOverUntrackedSamplerNeverHits) {
   EXPECT_EQ(product.Take(), HitsMisses(2, 1));
 }
 
+
+// ---------------------------------------------------------------------
+// The kept LM merge tree: a merged-blocks miss rebuilds only the nodes
+// over blocks that changed since the last miss. After every op the live
+// sketch's Query() — a warm hit, a partial rebuild or a full one — must
+// equal, byte for byte, a twin's Query() taken right after
+// InvalidateQueryCache() (a cold merge of every live block).
+
+// Pins the shared pool of this binary at four workers, so the pooled runs
+// below split tree levels across threads on any host.
+[[maybe_unused]] const bool kFourPoolWorkers =
+    (ThreadPool::SetDefaultThreadCount(4), true);
+
+uint64_t Count(const std::string& name) {
+  return MetricsRegistry::Global().GetCounter(name)->Value();
+}
+
+// One randomized op stream on `live` and `twin`: Gaussian rows, every
+// 11th scaled past the block capacity (its block is promoted, not
+// merged), every 7th op an AdvanceTo instead of a row, and `live`
+// serialized and reloaded halfway. Appends live's answers to `answers`.
+template <typename LmT>
+void RunWarmAgainstCold(const std::function<std::unique_ptr<LmT>()>& make,
+                        size_t d, bool time_window,
+                        std::vector<Matrix>* answers) {
+  Rng rng(time_window ? 41 : 42);
+  std::unique_ptr<LmT> live = make(), twin = make();
+  std::vector<double> row(d);
+  double ts = 0.0;
+  const size_t kOps = 400;
+  for (size_t op = 0; op < kOps; ++op) {
+    ts += time_window ? rng.Uniform(0.2, 1.8) : 1.0;
+    if (op % 7 == 6) {
+      live->AdvanceTo(ts);
+      twin->AdvanceTo(ts);
+    } else {
+      const double scale = op % 11 == 5 ? 4.0 : 1.0;
+      for (double& v : row) v = scale * rng.Gaussian();
+      live->Update(row, ts);
+      twin->Update(row, ts);
+    }
+    if (op == kOps / 2) {
+      ByteWriter writer;
+      live->Serialize(&writer);
+      ByteReader reader(writer.bytes());
+      auto reloaded = LmT::Deserialize(&reader);
+      ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+      live = std::make_unique<LmT>(reloaded.take());
+    }
+    const Matrix warm = live->Query();
+    ExpectSameBytes(warm, live->Query(), op);
+    twin->InvalidateQueryCache();
+    ExpectSameBytes(warm, twin->Query(), op);
+    answers->push_back(warm);
+  }
+}
+
+// Runs the stream with tree levels on the 4-worker pool and again inline
+// (from inside a pool task, nested ParallelFor calls run on the calling
+// thread, exactly as with a 1-worker pool); both must agree byte for
+// byte, and the live sketch must really have reused tree nodes and hit
+// the promotion path.
+template <typename LmT>
+void CheckWarmAgainstCold(
+    const std::string& slug,
+    const std::function<std::unique_ptr<LmT>(const WindowSpec&)>& make,
+    size_t d) {
+  ASSERT_EQ(ThreadPool::Shared().num_threads(), 4u);
+  for (const bool time_window : {false, true}) {
+    const WindowSpec window =
+        time_window ? WindowSpec::Time(150.0) : WindowSpec::Sequence(150);
+    const std::function<std::unique_ptr<LmT>()> make_one = [&] {
+      return make(window);
+    };
+    const uint64_t reused0 = Count(slug + ".merge_nodes_reused");
+    const uint64_t promotions0 = Count(slug + ".block_promotions");
+    std::vector<Matrix> pooled, inline_run;
+    RunWarmAgainstCold<LmT>(make_one, d, time_window, &pooled);
+    ThreadPool one(1);
+    one.Submit([&] {
+      RunWarmAgainstCold<LmT>(make_one, d, time_window, &inline_run);
+    });
+    one.Wait();
+    ASSERT_EQ(pooled.size(), inline_run.size());
+    for (size_t i = 0; i < pooled.size(); ++i) {
+      ExpectSameBytes(pooled[i], inline_run[i], i);
+    }
+    EXPECT_GT(Count(slug + ".merge_nodes_reused"), reused0);
+    EXPECT_GT(Count(slug + ".block_promotions"), promotions0);
+  }
+}
+
+TEST(MergeTreeTest, LmFdWarmMatchesColdAfterEveryOp) {
+  const size_t d = 10;
+  CheckWarmAgainstCold<LmFd>(
+      "lm_fd",
+      [d](const WindowSpec& window) {
+        LmFd::Options opt;
+        opt.ell = 6;
+        opt.blocks_per_level = 3;
+        opt.block_capacity = 8.0 * static_cast<double>(d);
+        return std::make_unique<LmFd>(d, window, opt);
+      },
+      d);
+}
+
+TEST(MergeTreeTest, LmHashWarmMatchesColdAfterEveryOp) {
+  const size_t d = 10;
+  CheckWarmAgainstCold<LmHash>(
+      "lm_hash",
+      [d](const WindowSpec& window) {
+        LmHash::Options opt;
+        opt.ell = 6;
+        opt.blocks_per_level = 3;
+        opt.block_capacity = 8.0 * static_cast<double>(d);
+        opt.seed = 5;
+        return std::make_unique<LmHash>(d, window, opt);
+      },
+      d);
+}
 }  // namespace
 }  // namespace swsketch

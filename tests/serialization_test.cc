@@ -3,10 +3,12 @@
 // continue identically on further updates.
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/dump_snapshot.h"
 #include "core/dyadic_interval.h"
 #include "core/factory.h"
 #include "core/logarithmic_method.h"
@@ -342,5 +344,129 @@ TEST(SerializeTest, TruncatedSketchPayloadRejected) {
   EXPECT_FALSE(FrequentDirections::Deserialize(&r).ok());
 }
 
+
+// Offsets of every occurrence of `value`'s bytes in `bytes`.
+std::vector<size_t> OffsetsOf(const std::vector<uint8_t>& bytes,
+                              double value) {
+  std::vector<size_t> offsets;
+  for (size_t i = 0; i + sizeof(double) <= bytes.size(); ++i) {
+    if (std::memcmp(&bytes[i], &value, sizeof(double)) == 0) {
+      offsets.push_back(i);
+    }
+  }
+  return offsets;
+}
+
+// Reload validation rejects NaN: each decoded configuration double (set
+// to a distinctive value, so its bytes can be found in the blob) is
+// replaced by NaN in turn — in the sketch header and in every nested FD
+// header that carries it — and the reload must return a Status instead of
+// aborting on a later update. A reload that wrongly succeeds must still
+// survive 100 further updates.
+TEST(SerializeTest, NanConfigDoublesRejectedOnReload) {
+  const size_t d = 6;
+  struct Case {
+    SketchConfig config;
+    WindowSpec window;
+    std::vector<double> values;
+  };
+  std::vector<Case> cases;
+  {
+    SketchConfig c;
+    c.algorithm = "lm-fd";
+    c.ell = 4;
+    c.fd_buffer_factor = 1.375;
+    c.lm_block_capacity = 13.0625;
+    cases.push_back({c, WindowSpec::Time(500.0), {1.375, 13.0625}});
+    c.algorithm = "lm-hash";
+    cases.push_back({c, WindowSpec::Time(500.0), {13.0625}});
+  }
+  {
+    SketchConfig c;
+    c.algorithm = "di-fd";
+    c.ell = 8;
+    c.levels = 3;
+    c.max_norm_sq = 37.5;
+    c.fd_buffer_factor = 1.375;
+    cases.push_back({c, WindowSpec::Sequence(500), {37.5, 1.375}});
+  }
+  {
+    SketchConfig c;
+    c.algorithm = "ds-fd";
+    c.ell = 4;
+    c.ds_snapshot_trunc = 0.3125;
+    c.ds_frame_ell_factor = 1.625;
+    c.ds_fd_buffer_factor = 2.875;
+    c.frobenius_eps = 0.0546875;
+    cases.push_back({c, WindowSpec::Time(500.0),
+                     {0.3125, 1.625, 2.875, 0.0546875}});
+  }
+  for (Case& c : cases) {
+    auto made = MakeSlidingWindowSketch(d, c.window, c.config);
+    ASSERT_TRUE(made.ok()) << c.config.algorithm;
+    SlidingWindowSketch& sketch = **made;
+    if (const auto* ds = dynamic_cast<const DsFd*>(&sketch)) {
+      // Frame FDs carry their own derived buffer factor.
+      c.values.push_back((static_cast<double>(ds->frame_capacity()) + 0.5) /
+                         static_cast<double>(ds->frame_ell()));
+    }
+    Rng rng(31);
+    double ts = 1.0;
+    for (int i = 0; i < 60; ++i, ts += 1.0) {
+      sketch.Update(RandomRow(&rng, d), ts);
+    }
+    ByteWriter w;
+    ASSERT_TRUE(sketch.SerializeTo(&w).ok());
+    {
+      ByteReader r(w.bytes());
+      ASSERT_TRUE(DeserializeSlidingWindowSketch(&r).ok());
+    }
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double value : c.values) {
+      const std::vector<size_t> offsets = OffsetsOf(w.bytes(), value);
+      EXPECT_FALSE(offsets.empty()) << c.config.algorithm << " " << value;
+      for (const size_t offset : offsets) {
+        std::vector<uint8_t> bytes = w.bytes();
+        std::memcpy(&bytes[offset], &nan, sizeof(double));
+        ByteReader r(bytes);
+        auto reloaded = DeserializeSlidingWindowSketch(&r);
+        EXPECT_FALSE(reloaded.ok())
+            << c.config.algorithm << " " << value << " at " << offset;
+        if (!reloaded.ok()) continue;
+        double t = ts;
+        for (int i = 0; i < 100; ++i, t += 1.0) {
+          (*reloaded)->Update(RandomRow(&rng, d), t);
+        }
+        (void)(*reloaded)->Query();
+      }
+    }
+  }
+}
+
+// Two crafted shapes the reload path must reject rather than accept into
+// an invalid object: a matrix whose rows * cols wraps to the (empty)
+// payload length, and an FD header whose shrink-rank option exceeds ell
+// (the constructor would abort on it).
+TEST(SerializeTest, CraftedShapesRejectedOnReload) {
+  {
+    ByteWriter w;
+    w.Put<uint64_t>(uint64_t{1} << 33);
+    w.Put<uint64_t>(uint64_t{1} << 31);
+    w.PutVector(std::vector<double>{});
+    ByteReader r(w.bytes());
+    EXPECT_FALSE(Matrix::Deserialize(&r).ok());
+  }
+  {
+    FrequentDirections fd(5, 4);
+    ByteWriter w;
+    fd.Serialize(&w);
+    std::vector<uint8_t> bytes = w.bytes();
+    // Header: tag and version (u32 each), then dim, ell, shrink option.
+    const uint64_t shrink_option = 5;
+    std::memcpy(&bytes[24], &shrink_option, sizeof(shrink_option));
+    ByteReader r(bytes);
+    EXPECT_FALSE(FrequentDirections::Deserialize(&r).ok());
+  }
+}
 }  // namespace
 }  // namespace swsketch

@@ -103,6 +103,52 @@ TEST(TenantManagerTest, EvictReloadQueryBitIdentical) {
   }
 }
 
+// Reloads go through the prototype's resolved handles: the reloaded
+// sketch and every FD inside it share the manager's one shrink workspace,
+// as a factory-built tenant's do, so evict->reload cycles never make an
+// FD create a workspace of its own (fd.scratch_creates counts those lazy
+// creations), and the answers stay byte-equal to a never-evicted twin.
+TEST(TenantManagerTest, ReloadSharesThePrototypeWorkspace) {
+  const size_t d = 8;
+  const Matrix rows = GaussianRows(600, d, 3);
+  const WindowSpec window = WindowSpec::Sequence(100);
+  Counter* creates = MetricsRegistry::Global().GetCounter("fd.scratch_creates");
+  for (const char* algorithm : {"lm-fd", "di-fd", "ds-fd"}) {
+    const SketchConfig config = Config(algorithm, d);
+    // The twin runs first, so the counter below sees the manager alone.
+    auto twin = MakeSlidingWindowSketch(d, window, config);
+    ASSERT_TRUE(twin.ok()) << algorithm;
+    std::vector<Matrix> want;
+    for (size_t i = 0; i < rows.rows(); ++i) {
+      (*twin)->Update(rows.Row(i), static_cast<double>(i + 1));
+      if (i % 40 == 39) want.push_back((*twin)->Query());
+    }
+
+    TenantManager::Options options;
+    options.metrics_prefix = "tm_reload_scratch";
+    auto made = TenantManager::Make(d, window, config, options);
+    ASSERT_TRUE(made.ok()) << algorithm;
+    auto& manager = *made.value();
+    const uint64_t key = 5;
+    const uint64_t creates0 = creates->Value();
+    size_t cycles = 0;
+    for (size_t i = 0; i < rows.rows(); ++i) {
+      ASSERT_TRUE(
+          manager.Update(key, rows.Row(i), static_cast<double>(i + 1)).ok());
+      if (i % 40 != 39) continue;
+      ASSERT_TRUE(manager.EvictTenant(key).ok()) << algorithm;
+      auto got = manager.Query(key);  // Reloads the tenant.
+      ASSERT_TRUE(got.ok()) << algorithm;
+      ASSERT_EQ(got.value().rows(), want[cycles].rows()) << algorithm;
+      EXPECT_EQ(got.value().MaxAbsDiff(want[cycles]), 0.0)
+          << algorithm << " cycle " << cycles;
+      ++cycles;
+    }
+    EXPECT_EQ(cycles, want.size());
+    EXPECT_EQ(creates->Value(), creates0) << algorithm;
+  }
+}
+
 // UpdateKeyed over an interleaved multi-key stream must leave every tenant
 // bit-identical to a standalone sketch fed only that tenant's rows.
 TEST(TenantManagerTest, KeyedBatchBitIdenticalToPerTenantStream) {
