@@ -3,7 +3,6 @@
 // evaluation (Lanczos spectral norm, subspace iteration).
 #include <benchmark/benchmark.h>
 
-#include "linalg/jacobi_eigen.h"
 #include "linalg/power_iteration.h"
 #include "linalg/subspace_iteration.h"
 #include "linalg/svd.h"
@@ -34,25 +33,17 @@ void BM_ThinSvdWide(benchmark::State& state) {
 }
 BENCHMARK(BM_ThinSvdWide)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Complexity();
 
-void BM_JacobiEigen(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Matrix a = RandomMatrix(2 * n, n, 2).Gram();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(JacobiEigen(a));
-  }
-}
-BENCHMARK(BM_JacobiEigen)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
-
 void BM_TridiagEigen(benchmark::State& state) {
-  // The large-ell FD-merge path: tridiagonalization + QL, ~10x Jacobi at
-  // n >= 100.
+  // The one symmetric eigensolver (tridiagonalization + QL), at the FD
+  // shrink's small-side Gram sizes.
   const size_t n = static_cast<size_t>(state.range(0));
   Matrix a = RandomMatrix(2 * n, n, 2).Gram();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(TridiagEigen(a));
+    benchmark::DoNotOptimize(SymmetricEigenSolve(a));
   }
 }
-BENCHMARK(BM_TridiagEigen)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_TridiagEigen)
+    ->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_SpectralNormSymmetric(benchmark::State& state) {
   // Evaluation hot path: spectral norm of a d x d Gram difference.

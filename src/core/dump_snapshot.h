@@ -61,7 +61,7 @@
 
 #include "core/frobenius_tracker.h"
 #include "core/sliding_window_sketch.h"
-#include "linalg/jacobi_eigen.h"
+#include "linalg/tridiag_eigen.h"
 #include "sketch/frequent_directions.h"
 #include "util/memo.h"
 #include "util/metrics.h"

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <vector>
 
-#include "linalg/jacobi_eigen.h"
+#include "linalg/tridiag_eigen.h"
 #include "linalg/vector_ops.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -51,7 +51,7 @@ double SpectralNormSymmetric(const Matrix& m,
     basis.push_back(w);
   }
 
-  // Extreme |eigenvalue| of the tridiagonal via the Jacobi solver.
+  // Extreme |eigenvalue| of the k x k Lanczos tridiagonal.
   const size_t k = alpha.size();
   Matrix t(k, k);
   for (size_t i = 0; i < k; ++i) {
@@ -61,7 +61,7 @@ double SpectralNormSymmetric(const Matrix& m,
       t(i + 1, i) = beta[i];
     }
   }
-  const SymmetricEigen eig = JacobiEigen(t);
+  const SymmetricEigen eig = SymmetricEigenSolve(t);
   double best = 0.0;
   for (double l : eig.eigenvalues) best = std::max(best, std::fabs(l));
   return best;

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <vector>
 
-#include "linalg/jacobi_eigen.h"
+#include "linalg/tridiag_eigen.h"
 #include "linalg/vector_ops.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -84,7 +84,7 @@ TopEigen TopEigenpairsPsd(const Matrix& m, size_t k,
         t(c, a) = s;
       }
     }
-    const SymmetricEigen ritz = JacobiEigen(t);
+    const SymmetricEigen ritz = SymmetricEigenSolve(t);
 
     bool converged = true;
     for (size_t c = 0; c < k; ++c) {

@@ -1,8 +1,8 @@
 // Block power (subspace) iteration with Rayleigh-Ritz refinement for the
 // top-k eigenpairs of a symmetric PSD matrix. Used by BEST(offline) — the
 // best-rank-k reference of the paper's experiments needs sigma_{k+1}^2 of
-// each window Gram matrix, for k up to ~100, which full Jacobi on d x d
-// would make needlessly expensive — and by the PCA examples.
+// each window Gram matrix, for k up to ~100, which a full eigensolve on
+// d x d would make needlessly expensive — and by the PCA examples.
 #ifndef SWSKETCH_LINALG_SUBSPACE_ITERATION_H_
 #define SWSKETCH_LINALG_SUBSPACE_ITERATION_H_
 

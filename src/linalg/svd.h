@@ -1,8 +1,8 @@
 // Thin singular value decomposition via the Gram route: eigendecompose the
-// smaller of A A^T / A^T A with Jacobi and recover the other factor. Exact
-// to floating-point accuracy for the well-conditioned, small-side shapes
-// produced by sketches (l x d with l << d), and O(min(n,d)^2 * max(n,d))
-// which is the right complexity for those shapes.
+// smaller of A A^T / A^T A (SymmetricEigenSolve) and recover the other
+// factor. Exact to floating-point accuracy for the well-conditioned,
+// small-side shapes produced by sketches (l x d with l << d), and
+// O(min(n,d)^2 * max(n,d)) which is the right complexity for those shapes.
 #ifndef SWSKETCH_LINALG_SVD_H_
 #define SWSKETCH_LINALG_SVD_H_
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -126,8 +127,13 @@ bool Tql2Transposed(std::vector<double>* d_ptr, std::vector<double>* e_ptr,
     size_t m;
     do {
       for (m = l; m + 1 < n; ++m) {
+        // The absolute floor keeps the test meaningful where 1e-15 * dd
+        // underflows to zero (|d| below ~1e-293): an off-diagonal under
+        // the smallest normal double is negligible next to the norm of
+        // the tridiagonal, which the caller keeps at or above 1e-146.
         const double dd = std::fabs(d[m]) + std::fabs(d[m + 1]);
-        if (std::fabs(e[m]) <= 1e-15 * dd) break;
+        const double em = std::fabs(e[m]);
+        if (em <= 1e-15 * dd || em < std::numeric_limits<double>::min()) break;
       }
       if (m != l) {
         if (++iterations == 50) return false;
@@ -172,14 +178,14 @@ bool Tql2Transposed(std::vector<double>* d_ptr, std::vector<double>* e_ptr,
 
 }  // namespace
 
-SymmetricEigen TridiagEigen(const Matrix& s) {
+SymmetricEigen SymmetricEigenSolve(const Matrix& s) {
   SymmetricEigenScratch scratch;
-  TridiagEigen(s, &scratch);
+  SymmetricEigenSolve(s, &scratch);
   return std::move(scratch.result);
 }
 
-const SymmetricEigen& TridiagEigen(const Matrix& s,
-                                   SymmetricEigenScratch* scratch) {
+const SymmetricEigen& SymmetricEigenSolve(const Matrix& s,
+                                          SymmetricEigenScratch* scratch) {
   SWSKETCH_CHECK_EQ(s.rows(), s.cols());
   const size_t n = s.rows();
   SymmetricEigen& out = scratch->result;
@@ -209,10 +215,33 @@ const SymmetricEigen& TridiagEigen(const Matrix& s,
   // form, so eigenpairs are bit-identical to it.
   Matrix& q = scratch->accum;
   Tred2Transposed(&a, &d, &e, &q, &scratch->hcol);
+  // The reduction rescales each row before squaring, so it is safe at any
+  // finite scale; the QL shifts are not. As LAPACK dsteqr does, bring a
+  // tridiagonal whose largest entry lies outside [1e-146, 1e146] into
+  // [1, 2) by a power of two, which scales exactly, and scale the
+  // eigenvalues back at the end.
+  double norm = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    norm = std::max({norm, std::fabs(d[i]), std::fabs(e[i])});
+  }
+  int exponent = 0;
+  if (std::isfinite(norm) && norm > 0.0 && (norm < 1e-146 || norm > 1e146)) {
+    exponent = std::ilogb(norm);
+    for (size_t i = 0; i < n; ++i) {
+      d[i] = std::ldexp(d[i], -exponent);
+      e[i] = std::ldexp(e[i], -exponent);
+    }
+  }
+  out.eigenvalues.assign(n, 0.0);
+  out.eigenvectors.ResetShape(n, n);
   if (!Tql2Transposed(&d, &e, &q)) {
-    // Extremely rare non-convergence: fall back to the robust solver
-    // (restarts from `s`, so overwriting the scratch is safe).
-    return JacobiEigen(s, scratch);
+    // Non-convergence: NaN input is the only known trigger, and it has no
+    // meaningful spectrum, so report NaN throughout rather than abort.
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    std::fill(out.eigenvalues.begin(), out.eigenvalues.end(), kNaN);
+    std::fill(out.eigenvectors.Data().begin(), out.eigenvectors.Data().end(),
+              kNaN);
+    return out;
   }
 
   std::vector<size_t>& order = scratch->order;
@@ -220,10 +249,9 @@ const SymmetricEigen& TridiagEigen(const Matrix& s,
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(),
             [&](size_t x, size_t y) { return d[x] > d[y]; });
-  out.eigenvalues.assign(n, 0.0);
-  out.eigenvectors.ResetShape(n, n);
   for (size_t c = 0; c < n; ++c) {
-    out.eigenvalues[c] = d[order[c]];
+    out.eigenvalues[c] =
+        exponent == 0 ? d[order[c]] : std::ldexp(d[order[c]], exponent);
     // Row order[c] of the transposed accumulator is eigenvector column c.
     const double* zc = q.RowPtr(order[c]);
     for (size_t r = 0; r < n; ++r) {
@@ -231,16 +259,6 @@ const SymmetricEigen& TridiagEigen(const Matrix& s,
     }
   }
   return out;
-}
-
-SymmetricEigen SymmetricEigenSolve(const Matrix& s) {
-  return s.rows() <= kJacobiCutoff ? JacobiEigen(s) : TridiagEigen(s);
-}
-
-const SymmetricEigen& SymmetricEigenSolve(const Matrix& s,
-                                          SymmetricEigenScratch* scratch) {
-  return s.rows() <= kJacobiCutoff ? JacobiEigen(s, scratch)
-                                   : TridiagEigen(s, scratch);
 }
 
 }  // namespace swsketch

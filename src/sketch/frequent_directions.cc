@@ -24,8 +24,6 @@ struct FdMetrics {
   Counter* shrinks;
   Counter* shrink_route_gram_wide;
   Counter* shrink_route_gram_tall;
-  Counter* eigen_route_jacobi;
-  Counter* eigen_route_tridiag;
   Counter* scratch_creates;
   Counter* scratch_shares;
   Counter* merges;
@@ -38,8 +36,6 @@ struct FdMetrics {
                        scope.counter("shrinks"),
                        scope.counter("shrink_route_gram_wide"),
                        scope.counter("shrink_route_gram_tall"),
-                       scope.counter("eigen_route_jacobi"),
-                       scope.counter("eigen_route_tridiag"),
                        scope.counter("scratch_creates"),
                        scope.counter("scratch_shares"),
                        scope.counter("merges"),
@@ -173,11 +169,6 @@ void FrequentDirections::Rebuild(size_t rank, size_t max_rows) {
   const size_t n = b_.rows();
   const size_t d = dim_;
   const bool wide = n <= d;
-  // Mirror SymmetricEigenSolve's dispatch rule so the route counters say
-  // which eigensolver actually ran on the small-side Gram.
-  (std::min(n, d) <= kJacobiCutoff ? metrics.eigen_route_jacobi
-                                   : metrics.eigen_route_tridiag)
-      ->Add();
   (wide ? metrics.shrink_route_gram_wide : metrics.shrink_route_gram_tall)
       ->Add();
 

@@ -149,7 +149,6 @@ class FrequentDirections : public MatrixSketch {
   // Rebuilds b_ in place from the shrunk spectrum, keeping at most max_rows
   // rows: eigendecomposes the small-side Gram (B B^T when wide, B^T B when
   // tall) and emits B' = D W^T B (wide) or the scaled eigenvectors (tall).
-  // The eigensolve takes Jacobi up to kJacobiCutoff rows, tridiag QL above.
   void Rebuild(size_t rank, size_t max_rows);
 
   // Lazily creates scratch_ and returns it.

@@ -6,7 +6,7 @@
 #include "core/best_rank_k.h"
 #include "core/exact_window.h"
 #include "eval/cov_err.h"
-#include "linalg/jacobi_eigen.h"
+#include "linalg/tridiag_eigen.h"
 #include "util/random.h"
 
 namespace swsketch {
@@ -68,12 +68,12 @@ TEST(BestRankKTest, ErrorIsLambdaKPlusOne) {
   const Matrix gram = buffer.GramMatrix(d);
   const double frob_sq = buffer.FrobeniusNormSq();
   const double err = CovarianceError(gram, frob_sq, best.Query());
-  // Optimal error = lambda_4 / frob^2 (full Jacobi reference).
-  const SymmetricEigen eig = JacobiEigen(gram);
+  // Optimal error = lambda_4 / frob^2 (full eigensolve reference).
+  const SymmetricEigen eig = SymmetricEigenSolve(gram);
   EXPECT_NEAR(err, eig.eigenvalues[3] / frob_sq, 1e-6);
 }
 
-TEST(BestRankKTest, BestErrorHelperMatchesJacobi) {
+TEST(BestRankKTest, BestErrorHelperMatchesFullEigensolve) {
   Rng rng(5);
   Matrix a(50, 6);
   for (size_t i = 0; i < 50; ++i) {
@@ -81,7 +81,7 @@ TEST(BestRankKTest, BestErrorHelperMatchesJacobi) {
   }
   const Matrix gram = a.Gram();
   const double frob_sq = a.FrobeniusNormSq();
-  const SymmetricEigen eig = JacobiEigen(gram);
+  const SymmetricEigen eig = SymmetricEigenSolve(gram);
   for (size_t k : {1u, 2u, 4u}) {
     EXPECT_NEAR(BestRankKError(gram, k, frob_sq),
                 eig.eigenvalues[k] / frob_sq, 1e-7)

@@ -85,9 +85,9 @@ size_t AllocationsOverShrinks(FrequentDirections* fd, const Matrix& rows,
 // pool's parallel-dispatch flop threshold, so the shrink runs inline on
 // the caller thread (pool task posting would allocate by design).
 
-TEST(FdShrinkAllocTest, SteadyStateShrinkIsAllocationFreeTridiagRoute) {
-  // ell = 40 > the Jacobi cutoff (32): exercises the tridiagonal QL
-  // eigensolver path with its Householder scratch.
+TEST(FdShrinkAllocTest, SteadyStateShrinkIsAllocationFreeLargeEll) {
+  // ell = 40: a 40 x 40 small-side Gram through the eigensolver's
+  // Householder and QL scratch.
   const size_t d = 64, ell = 40;
   FrequentDirections fd(d, FrequentDirections::Options{.ell = ell});
   const Matrix rows = RandomMatrix(4 * ell, d, 5);
@@ -100,8 +100,8 @@ TEST(FdShrinkAllocTest, SteadyStateShrinkIsAllocationFreeTridiagRoute) {
   EXPECT_EQ(AllocationsOverShrinks(&fd, rows, 3, &cursor), 0u);
 }
 
-TEST(FdShrinkAllocTest, SteadyStateShrinkIsAllocationFreeJacobiRoute) {
-  // ell = 16 <= the Jacobi cutoff: exercises the cyclic-Jacobi path.
+TEST(FdShrinkAllocTest, SteadyStateShrinkIsAllocationFreeSmallEll) {
+  // ell = 16: the same scratch at a smaller Gram.
   const size_t d = 64, ell = 16;
   FrequentDirections fd(d, FrequentDirections::Options{.ell = ell});
   const Matrix rows = RandomMatrix(4 * ell, d, 7);

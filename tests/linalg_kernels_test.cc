@@ -92,7 +92,7 @@ TEST(BlockedKernelsTest, GramDegenerateShapes) {
 
 TEST(BlockedKernelsTest, GramIsExactlySymmetric) {
   // The mirror copies the upper triangle, so symmetry is bit-exact — an
-  // invariant Jacobi/Lanczos downstream rely on.
+  // invariant the eigensolver and Lanczos downstream rely on.
   const Matrix g = RandomMatrix(300, 130, 4).Gram();
   for (size_t i = 0; i < g.rows(); ++i) {
     for (size_t j = i + 1; j < g.cols(); ++j) EXPECT_EQ(g(i, j), g(j, i));

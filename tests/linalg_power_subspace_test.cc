@@ -4,9 +4,9 @@
 
 #include <gtest/gtest.h>
 
-#include "linalg/jacobi_eigen.h"
 #include "linalg/power_iteration.h"
 #include "linalg/subspace_iteration.h"
+#include "linalg/tridiag_eigen.h"
 #include "util/random.h"
 
 namespace swsketch {
@@ -39,9 +39,9 @@ TEST(PowerIterationTest, DiagonalSpectralNorm) {
   EXPECT_NEAR(SpectralNormSymmetric(m), 9.0, 1e-6);
 }
 
-TEST(PowerIterationTest, MatchesJacobiOnRandomSymmetric) {
+TEST(PowerIterationTest, MatchesFullEigensolveOnRandomSymmetric) {
   Matrix m = RandomSymmetric(30, 1);
-  SymmetricEigen eig = JacobiEigen(m);
+  SymmetricEigen eig = SymmetricEigenSolve(m);
   double expected = 0.0;
   for (double l : eig.eigenvalues) expected = std::max(expected, std::fabs(l));
   EXPECT_NEAR(SpectralNormSymmetric(m), expected, 1e-5 * expected);
@@ -58,8 +58,8 @@ TEST(PowerIterationTest, GeneralMatrixLargestSingularValue) {
   for (size_t i = 0; i < 12; ++i) {
     for (size_t j = 0; j < 20; ++j) a(i, j) = rng.Gaussian();
   }
-  // Reference: sqrt of largest eigenvalue of A A^T via Jacobi.
-  SymmetricEigen eig = JacobiEigen(a.GramOuter());
+  // Reference: sqrt of largest eigenvalue of A A^T (full eigensolve).
+  SymmetricEigen eig = SymmetricEigenSolve(a.GramOuter());
   const double expected = std::sqrt(eig.eigenvalues[0]);
   EXPECT_NEAR(SpectralNorm(a), expected, 1e-5 * expected);
 }
@@ -71,9 +71,9 @@ TEST(PowerIterationTest, NearTieStillConverges) {
   EXPECT_NEAR(SpectralNormSymmetric(m), 1.0, 1e-3);
 }
 
-TEST(SubspaceIterationTest, TopEigenvaluesMatchJacobi) {
+TEST(SubspaceIterationTest, TopEigenvaluesMatchFullEigensolve) {
   Matrix m = RandomPsd(40, 50, 3);
-  SymmetricEigen full = JacobiEigen(m);
+  SymmetricEigen full = SymmetricEigenSolve(m);
   TopEigen top = TopEigenpairsPsd(m, 5);
   ASSERT_EQ(top.values.size(), 5u);
   for (size_t i = 0; i < 5; ++i) {

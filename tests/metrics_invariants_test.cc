@@ -331,34 +331,30 @@ TEST(MetricsInvariantsTest, DiBlockLedgerBalancesAndSettlesOnDestruction) {
   EXPECT_EQ(G("di_fd.live_blocks"), live0);
 }
 
-// fd.* shrink route counters. With one shrink implementation the route
-// ledger holds unconditionally: shrinks == gram_wide + gram_tall ==
-// eigen_route_jacobi + eigen_route_tridiag.
+// fd.* shrink route counters. With one shrink implementation and one
+// eigensolver the route ledger holds unconditionally:
+// shrinks == gram_wide + gram_tall.
 struct ShrinkRoutes {
-  uint64_t shrinks, wide, tall, jacobi, tridiag;
+  uint64_t shrinks, wide, tall;
 
   static ShrinkRoutes Now() {
     return {C("fd.shrinks"), C("fd.shrink_route_gram_wide"),
-            C("fd.shrink_route_gram_tall"), C("fd.eigen_route_jacobi"),
-            C("fd.eigen_route_tridiag")};
+            C("fd.shrink_route_gram_tall")};
   }
   ShrinkRoutes Minus(const ShrinkRoutes& o) const {
-    return {shrinks - o.shrinks, wide - o.wide, tall - o.tall,
-            jacobi - o.jacobi, tridiag - o.tridiag};
+    return {shrinks - o.shrinks, wide - o.wide, tall - o.tall};
   }
   void ExpectLedger(uint64_t shrink_count, const std::string& label) const {
     EXPECT_EQ(shrinks, shrink_count) << label;
     EXPECT_EQ(wide + tall, shrinks) << label;
-    EXPECT_EQ(jacobi + tridiag, shrinks) << label;
   }
 };
 
 TEST(MetricsInvariantsTest, FdShrinksFollowTheAmortizedSchedule) {
   // Tall regime: capacity (= ell, buffer_factor 1) exceeds dim, so every
-  // shrink takes the gram_tall route, and min(n, d) = d <= the Jacobi
-  // cutoff keeps the eigensolve on the Jacobi path. Gaussian rows are
-  // full rank, so each shrink leaves exactly shrink_rank - 1 rows and the
-  // shrink count is an exact function of n.
+  // shrink takes the gram_tall route. Gaussian rows are full rank, so each
+  // shrink leaves exactly shrink_rank - 1 rows and the shrink count is an
+  // exact function of n.
   const size_t d = 16;
   const size_t ell = 32;
   const size_t n = 200;
@@ -366,7 +362,6 @@ TEST(MetricsInvariantsTest, FdShrinksFollowTheAmortizedSchedule) {
   const uint64_t appends0 = C("fd.appends");
   const uint64_t shrinks0 = C("fd.shrinks");
   const uint64_t tall0 = C("fd.shrink_route_gram_tall");
-  const uint64_t jacobi0 = C("fd.eigen_route_jacobi");
   const ShrinkRoutes routes0 = ShrinkRoutes::Now();
 
   FrequentDirections fd(d, ell);
@@ -380,28 +375,20 @@ TEST(MetricsInvariantsTest, FdShrinksFollowTheAmortizedSchedule) {
   EXPECT_EQ(C("fd.appends") - appends0, n);
   EXPECT_EQ(C("fd.shrinks") - shrinks0, fd.shrink_count());
   EXPECT_EQ(C("fd.shrink_route_gram_tall") - tall0, fd.shrink_count());
-  EXPECT_EQ(C("fd.eigen_route_jacobi") - jacobi0, fd.shrink_count());
   ShrinkRoutes::Now().Minus(routes0).ExpectLedger(fd.shrink_count(), "tall");
 
   // Wide regime: capacity < dim, every shrink takes gram_wide on an
-  // n x n Gram with n = capacity. capacity 32 sits on the Jacobi side of
-  // the cutoff and 33 on the tridiag side, which pins the cutoff at 32.
+  // n x n Gram with n = capacity.
   const size_t wide_d = 64;
   const Matrix wide_rows = GaussianRows(n, wide_d, 7);
-  for (const size_t wide_ell : {size_t{32}, size_t{33}}) {
-    const ShrinkRoutes before = ShrinkRoutes::Now();
-    FrequentDirections wide(wide_d, wide_ell);
-    ASSERT_LT(wide.buffer_capacity(), wide_d);
-    for (size_t i = 0; i < n; ++i) wide.Append(wide_rows.Row(i), i);
-    const ShrinkRoutes delta = ShrinkRoutes::Now().Minus(before);
-    const std::string label = "wide ell=" + std::to_string(wide_ell);
-    ASSERT_GT(wide.shrink_count(), 0u) << label;
-    delta.ExpectLedger(wide.shrink_count(), label);
-    EXPECT_EQ(delta.wide, wide.shrink_count()) << label;
-    EXPECT_EQ(wide_ell <= 32 ? delta.jacobi : delta.tridiag,
-              wide.shrink_count())
-        << label;
-  }
+  const ShrinkRoutes before = ShrinkRoutes::Now();
+  FrequentDirections wide(wide_d, 32);
+  ASSERT_LT(wide.buffer_capacity(), wide_d);
+  for (size_t i = 0; i < n; ++i) wide.Append(wide_rows.Row(i), i);
+  const ShrinkRoutes delta = ShrinkRoutes::Now().Minus(before);
+  ASSERT_GT(wide.shrink_count(), 0u);
+  delta.ExpectLedger(wide.shrink_count(), "wide");
+  EXPECT_EQ(delta.wide, wide.shrink_count());
 }
 
 TEST(MetricsInvariantsTest, ConcurrentSnapshotPerMutation) {

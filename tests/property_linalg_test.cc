@@ -1,14 +1,14 @@
 // Parameterized linear-algebra properties over a grid of shapes and
 // seeds: decomposition identities that must hold for every input, and
-// cross-solver consistency (Jacobi vs tridiagonal-QL vs Lanczos vs
-// subspace iteration all agree on the same spectra).
+// cross-solver consistency (the full tridiagonal-QL eigensolve, Lanczos
+// and subspace iteration all agree on the same spectra).
 #include <algorithm>
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "linalg/jacobi_eigen.h"
 #include "linalg/power_iteration.h"
 #include "linalg/vector_ops.h"
 #include "linalg/subspace_iteration.h"
@@ -81,20 +81,28 @@ TEST_P(EigenSolverConsistency, AllSolversAgree) {
   const auto [n, seed] = GetParam();
   Matrix gram = RandomMatrix(n + 7, n, seed, 0.2).Gram();
 
-  const SymmetricEigen jacobi = JacobiEigen(gram);
-  const SymmetricEigen tridiag = TridiagEigen(gram);
-  const double scale = std::max(jacobi.eigenvalues[0], 1e-12);
+  // Ground truth: the full eigensolve, itself held to its residual
+  // ||G v_i - lambda_i v_i|| and to the trace.
+  const SymmetricEigen full = SymmetricEigenSolve(gram);
+  const double scale = std::max(full.eigenvalues[0], 1e-12);
+  double trace = 0.0, sum = 0.0;
+  std::vector<double> v(n), gv(n);
   for (size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(tridiag.eigenvalues[i], jacobi.eigenvalues[i], 1e-8 * scale)
-        << "i=" << i;
+    trace += gram(i, i);
+    sum += full.eigenvalues[i];
+    for (size_t r = 0; r < n; ++r) v[r] = full.eigenvectors(r, i);
+    gram.Apply(v, gv);
+    Axpy(-full.eigenvalues[i], v, gv);
+    EXPECT_LE(Norm(gv), 1e-10 * scale) << "i=" << i;
   }
+  EXPECT_NEAR(sum, trace, 1e-10 * scale * static_cast<double>(n));
   // Lanczos spectral norm == lambda_1.
-  EXPECT_NEAR(SpectralNormSymmetric(gram), jacobi.eigenvalues[0],
+  EXPECT_NEAR(SpectralNormSymmetric(gram), full.eigenvalues[0],
               1e-6 * scale);
   // Subspace iteration top-3 match.
   const TopEigen top = TopEigenpairsPsd(gram, std::min<size_t>(3, n));
   for (size_t i = 0; i < top.values.size(); ++i) {
-    EXPECT_NEAR(top.values[i], jacobi.eigenvalues[i], 1e-5 * scale);
+    EXPECT_NEAR(top.values[i], full.eigenvalues[i], 1e-5 * scale);
   }
 }
 

@@ -2,8 +2,12 @@
 // after save + load, sketches must produce identical approximations and
 // continue identically on further updates.
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +25,10 @@
 #include "util/exponential_histogram.h"
 #include "util/random.h"
 #include "util/serialize.h"
+
+#ifndef SWSKETCH_FIXTURES_DIR
+#error "SWSKETCH_FIXTURES_DIR must be defined by the build"
+#endif
 
 namespace swsketch {
 namespace {
@@ -468,5 +476,56 @@ TEST(SerializeTest, CraftedShapesRejectedOnReload) {
     EXPECT_FALSE(FrequentDirections::Deserialize(&r).ok());
   }
 }
+
+std::vector<uint8_t> ReadFixture(const std::string& file) {
+  const std::string path = std::string(SWSKETCH_FIXTURES_DIR) + "/" + file;
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing fixture " << path;
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
+                              std::istreambuf_iterator<char>());
+}
+
+// Checkpoints written before the symmetric eigensolve moved to one solver
+// (fixtures/compat/: the FD-family golden blobs and the query each one
+// produced then). They must still load, re-serialize to the same bytes —
+// the wire format did not move — and answer with the same covariance
+// B^T B up to rounding. The Gram comparison is sign- and rotation-
+// invariant, so it holds although the new solver's eigenvectors may
+// differ from the old ones by a sign.
+TEST(SerializeTest, PreviousEigensolverCheckpointsStillLoad) {
+  for (const char* stem : {"golden_lm_fd", "golden_di_fd", "golden_ds_fd",
+                           "golden_amm_co_fd", "golden_amm_lm_fd"}) {
+    SCOPED_TRACE(stem);
+    const std::string compat = std::string("compat/") + stem;
+    const std::vector<uint8_t> blob = ReadFixture(compat + ".sketch.bin");
+    ASSERT_FALSE(blob.empty());
+    ByteReader r(blob);
+    auto loaded = DeserializeSlidingWindowSketch(&r);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+
+    ByteWriter w;
+    ASSERT_TRUE((*loaded)->SerializeTo(&w).ok());
+    EXPECT_EQ(w.bytes(), blob) << "re-serialized bytes differ";
+
+    // The old query, in the golden encoding: rows, cols, then row-major
+    // doubles.
+    const std::vector<uint8_t> query = ReadFixture(compat + ".query.bin");
+    ByteReader qr(query);
+    uint64_t rows = 0, cols = 0;
+    ASSERT_TRUE(qr.Get(&rows) && qr.Get(&cols));
+    Matrix want(rows, cols);
+    for (size_t i = 0; i < rows; ++i) {
+      for (size_t j = 0; j < cols; ++j) ASSERT_TRUE(qr.Get(&want(i, j)));
+    }
+    const Matrix got = (*loaded)->Query();
+    ASSERT_EQ(got.cols(), want.cols());
+    const Matrix want_gram = want.Gram();
+    const double tol = 1e-9 * std::sqrt(want_gram.FrobeniusNormSq());
+    EXPECT_GT(tol, 0.0);
+    const Matrix diff = got.Gram().Subtract(want_gram);
+    EXPECT_LE(std::sqrt(diff.FrobeniusNormSq()), tol);
+  }
+}
+
 }  // namespace
 }  // namespace swsketch
