@@ -10,7 +10,13 @@
 //
 // Updates are buffered and flushed through the keyed batch path
 // (UpdateKeyed) every --batch rows and before any Q/A/STATS, so answers
-// always reflect every preceding U line. Q prints the key, the row count
+// always reflect every preceding U line. A U or A line the sketches cannot
+// admit (unparsable, wrong width, a non-finite value, a timestamp or clock
+// move before the tenant's clock) prints one `ERR <code> <reason>` line
+// and the server keeps serving: U rows are checked against the admission
+// rule as they are read, so a bad row never costs its batch; a refusal
+// only a tenant can make drops that tenant's pending rows and the rows
+// queued behind them. Q prints the key, the row count
 // and each sketch row with %.17g values — bit-stable across runs for the
 // deterministic algorithms, which is what the ctest smoke fixture pins.
 // Throughput (rows/s and QPS) goes to stderr so stdout stays comparable.
@@ -20,12 +26,16 @@
 //                   [--batch=256] < commands.txt
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/factory.h"
+#include "core/sliding_window_sketch.h"
+#include "linalg/vector_ops.h"
 #include "service/tenant_manager.h"
 #include "util/flags.h"
 #include "util/timer.h"
@@ -40,8 +50,24 @@ struct PendingRows {
   std::vector<double> values;  // Flat, d per row (stable backing store).
 };
 
-bool FlushPending(TenantManager* manager, PendingRows* pending, size_t d) {
-  if (pending->keys.empty()) return true;
+void PrintError(const Status& st) {
+  std::printf("ERR %s %s\n", st.CodeName(), st.message().c_str());
+}
+
+// Parses the rest of `in` as numbers (strtod, so nan/inf spell values).
+bool ReadNumbers(std::istringstream& in, std::vector<double>* out) {
+  std::string token;
+  while (in >> token) {
+    char* end = nullptr;
+    out->push_back(std::strtod(token.c_str(), &end));
+    if (end != token.c_str() + token.size()) return false;
+  }
+  return true;
+}
+
+// Flushes the pending rows; a refusal is reported and drops them.
+void FlushPending(TenantManager* manager, PendingRows* pending, size_t d) {
+  if (pending->keys.empty()) return;
   std::vector<KeyedRow> batch(pending->keys.size());
   for (size_t i = 0; i < pending->keys.size(); ++i) {
     batch[i] = KeyedRow{
@@ -49,14 +75,10 @@ bool FlushPending(TenantManager* manager, PendingRows* pending, size_t d) {
         std::span<const double>(pending->values.data() + i * d, d)};
   }
   const Status st = manager->UpdateKeyed(batch);
-  if (!st.ok()) {
-    std::cerr << "update failed: " << st.ToString() << "\n";
-    return false;
-  }
+  if (!st.ok()) PrintError(st);
   pending->keys.clear();
   pending->ts.clear();
   pending->values.clear();
-  return true;
 }
 
 }  // namespace
@@ -95,45 +117,42 @@ int main(int argc, char** argv) {
     std::istringstream in(line);
     std::string cmd;
     in >> cmd;
-    if (cmd == "U") {
+    if (cmd == "U" || cmd == "A") {
       uint64_t key;
-      double ts;
-      if (!(in >> key >> ts)) {
-        std::cerr << "bad U line: " << line << "\n";
-        return 1;
+      std::vector<double> nums;
+      if (!(in >> key) || !ReadNumbers(in, &nums) || nums.empty() ||
+          (cmd == "A" && nums.size() != 1)) {
+        PrintError(Status::InvalidArgument("bad " + cmd + " line"));
+        continue;
+      }
+      const double ts = nums.front();
+      if (cmd == "A") {
+        {
+          Timer t;
+          FlushPending(&manager, &pending, d);
+          update_s += t.ElapsedSeconds();
+        }
+        const Status st = manager.AdvanceTo(key, ts);
+        if (!st.ok()) PrintError(st);
+        continue;
+      }
+      const std::span<const double> values(nums.data() + 1, nums.size() - 1);
+      if (Status st = AdmitRow(values.size(), NormSq(values), ts, d,
+                               -std::numeric_limits<double>::infinity(),
+                               "tenant_server");
+          !st.ok()) {
+        PrintError(st);
+        continue;
       }
       pending.keys.push_back(key);
       pending.ts.push_back(ts);
-      for (size_t j = 0; j < d; ++j) {
-        double v;
-        if (!(in >> v)) {
-          std::cerr << "U line needs " << d << " values: " << line << "\n";
-          return 1;
-        }
-        pending.values.push_back(v);
-      }
+      pending.values.insert(pending.values.end(), values.begin(),
+                            values.end());
       ++rows;
       if (pending.keys.size() >= batch) {
         Timer t;
-        if (!FlushPending(&manager, &pending, d)) return 1;
+        FlushPending(&manager, &pending, d);
         update_s += t.ElapsedSeconds();
-      }
-    } else if (cmd == "A") {
-      uint64_t key;
-      double now;
-      if (!(in >> key >> now)) {
-        std::cerr << "bad A line: " << line << "\n";
-        return 1;
-      }
-      {
-        Timer t;
-        if (!FlushPending(&manager, &pending, d)) return 1;
-        update_s += t.ElapsedSeconds();
-      }
-      const Status st = manager.AdvanceTo(key, now);
-      if (!st.ok()) {
-        std::cerr << "advance failed: " << st.ToString() << "\n";
-        return 1;
       }
     } else if (cmd == "Q") {
       uint64_t key;
@@ -143,7 +162,7 @@ int main(int argc, char** argv) {
       }
       {
         Timer t;
-        if (!FlushPending(&manager, &pending, d)) return 1;
+        FlushPending(&manager, &pending, d);
         update_s += t.ElapsedSeconds();
       }
       Timer t;
@@ -164,7 +183,7 @@ int main(int argc, char** argv) {
       }
     } else if (cmd == "STATS") {
       Timer t;
-      if (!FlushPending(&manager, &pending, d)) return 1;
+      FlushPending(&manager, &pending, d);
       update_s += t.ElapsedSeconds();
       std::printf("STATS tenants=%zu resident=%zu spilled=%zu rows=%" PRIu64
                   " queries=%" PRIu64 "\n",
@@ -177,7 +196,7 @@ int main(int argc, char** argv) {
   }
   {
     Timer t;
-    if (!FlushPending(&manager, &pending, d)) return 1;
+    FlushPending(&manager, &pending, d);
     update_s += t.ElapsedSeconds();
   }
   // Timing to stderr only: stdout is the deterministic transcript.

@@ -1,5 +1,6 @@
 #include "amm/amm_exact.h"
 
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -7,21 +8,13 @@
 
 namespace swsketch {
 
-AmmExact::AmmExact(size_t dim_a, size_t dim_b, WindowSpec window)
-    : AmmExact(dim_a, dim_b, window, MetricSet(MetricScope("amm"))) {}
-
 AmmExact::AmmExact(size_t dim_a, size_t dim_b, WindowSpec window,
                    const MetricSet& metrics)
-    : AmmSketch(dim_a, dim_b, metrics),
-      window_(window),
+    : AmmSketch(dim_a, dim_b, window, metrics),
       buffer_a_(window),
       buffer_b_(window) {}
 
-void AmmExact::Update(std::span<const double> row, double ts) {
-  SWSKETCH_CHECK_EQ(row.size(), dim());
-  SWSKETCH_CHECK_GE(ts, now_);
-  ++mutation_version_;
-  now_ = ts;
+void AmmExact::Ingest(std::span<const double> row, double ts, double) {
   metrics().pairs_ingested->Add();
   buffer_a_.Add(
       Row(std::vector<double>(row.begin(), row.begin() + dim_a()), ts));
@@ -29,16 +22,7 @@ void AmmExact::Update(std::span<const double> row, double ts) {
       Row(std::vector<double>(row.begin() + dim_a(), row.end()), ts));
 }
 
-void AmmExact::UpdateBatch(const Matrix& rows, std::span<const double> ts) {
-  SWSKETCH_CHECK_EQ(rows.rows(), ts.size());
-  if (rows.rows() > 0) SWSKETCH_CHECK_EQ(rows.cols(), dim());
-  for (size_t i = 0; i < rows.rows(); ++i) Update(rows.Row(i), ts[i]);
-}
-
-void AmmExact::AdvanceTo(double now) {
-  SWSKETCH_CHECK_GE(now, now_);
-  ++mutation_version_;
-  now_ = now;
+void AmmExact::Expire(double now) {
   buffer_a_.AdvanceTo(now);
   buffer_b_.AdvanceTo(now);
 }
@@ -80,8 +64,8 @@ void AmmExact::Serialize(ByteWriter* writer) const {
   WriteHeader(writer, kSerialTag, 1);
   writer->Put<uint64_t>(dim_a());
   writer->Put<uint64_t>(dim_b());
-  window_.Serialize(writer);
-  writer->Put(now_);
+  window().Serialize(writer);
+  writer->Put(now());
   SWSKETCH_CHECK_EQ(buffer_a_.size(), buffer_b_.size());
   writer->Put<uint64_t>(buffer_a_.size());
   auto it_b = buffer_b_.rows().begin();
@@ -99,22 +83,23 @@ Result<AmmExact> AmmExact::Deserialize(ByteReader* reader) {
   }
   uint64_t dim_a = 0, dim_b = 0;
   if (!reader->Get(&dim_a) || !reader->Get(&dim_b) || dim_a == 0 ||
-      dim_b == 0) {
+      dim_b == 0 || !LoadableSize(dim_a, dim_b)) {
     return Status::InvalidArgument("bad AMM-EXACT dims");
   }
   auto window = WindowSpec::Deserialize(reader);
   if (!window.ok()) return window.status();
   double now = 0.0;
   uint64_t n = 0;
-  if (!reader->Get(&now) || !reader->Get(&n)) {
+  AmmExact sketch(dim_a, dim_b, *window);
+  if (!reader->Get(&now) || !sketch.Restore(now) || !reader->Get(&n)) {
     return Status::InvalidArgument("truncated AMM-EXACT payload");
   }
-  AmmExact sketch(dim_a, dim_b, *window);
   for (uint64_t i = 0; i < n; ++i) {
     double ts = 0.0;
     std::vector<double> a, b;
     if (!reader->Get(&ts) || !reader->GetVector(&a) ||
-        !reader->GetVector(&b) || a.size() != dim_a || b.size() != dim_b) {
+        !reader->GetVector(&b) || a.size() != dim_a || b.size() != dim_b ||
+        !std::isfinite(NormSq(a) + NormSq(b))) {
       return Status::InvalidArgument("bad AMM-EXACT pair");
     }
     sketch.buffer_a_.Add(Row(std::move(a), ts));
@@ -122,8 +107,6 @@ Result<AmmExact> AmmExact::Deserialize(ByteReader* reader) {
   }
   sketch.buffer_a_.AdvanceTo(now);
   sketch.buffer_b_.AdvanceTo(now);
-  sketch.now_ = now;
-  sketch.mutation_version_ = 1;  // Loaded state is valid but cold.
   sketch.metrics().reloads->Add();
   return sketch;
 }

@@ -19,23 +19,17 @@ namespace swsketch {
 /// Linear-space exact two-operand window tracker.
 class AmmExact : public AmmSketch {
  public:
-  AmmExact(size_t dim_a, size_t dim_b, WindowSpec window);
-
-  /// Mass-construction overload (SketchPrototype): pre-resolved metric
+  /// Mass construction (SketchPrototype) passes pre-resolved metric
   /// handles instead of per-instance registry probes.
   AmmExact(size_t dim_a, size_t dim_b, WindowSpec window,
-           const MetricSet& metrics);
+           const MetricSet& metrics = MetricSet(MetricScope("amm")));
 
   AmmExact(AmmExact&&) = default;
-
-  void Update(std::span<const double> row, double ts) override;
-  void UpdateBatch(const Matrix& rows, std::span<const double> ts) override;
-  void AdvanceTo(double now) override;
 
   /// The stacked window matrix [A_W | B_W] itself (zero error).
   Matrix Query() override;
 
-  uint64_t StateVersion() const override { return mutation_version_; }
+  uint64_t StateVersion() const override { return mutations(); }
 
   /// Both operand buffers count: the honest dual-storage footprint.
   size_t RowsStored() const override {
@@ -43,7 +37,6 @@ class AmmExact : public AmmSketch {
   }
 
   std::string name() const override { return "AMM-EXACT"; }
-  const WindowSpec& window() const override { return window_; }
 
   const WindowBuffer& buffer_a() const { return buffer_a_; }
   const WindowBuffer& buffer_b() const { return buffer_b_; }
@@ -65,11 +58,11 @@ class AmmExact : public AmmSketch {
   Matrix ComputeProduct() override;
 
  private:
-  WindowSpec window_;
+  void Ingest(std::span<const double> row, double ts, double) override;
+  void Expire(double now) override;
+
   WindowBuffer buffer_a_;
   WindowBuffer buffer_b_;
-  double now_ = 0.0;
-  uint64_t mutation_version_ = 0;
 };
 
 }  // namespace swsketch

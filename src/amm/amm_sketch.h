@@ -59,8 +59,14 @@ class AmmSketch : public SlidingWindowSketch {
     Counter* reloads;
   };
 
-  AmmSketch(size_t dim_a, size_t dim_b, const MetricSet& metrics)
-      : dim_a_(dim_a), dim_b_(dim_b), metrics_(metrics) {
+  /// The stacked dimension d_a + d_b is the SlidingWindowSketch dim():
+  /// Update rows and Query columns are both this wide.
+  AmmSketch(size_t dim_a, size_t dim_b, WindowSpec window,
+            const MetricSet& metrics)
+      : SlidingWindowSketch(dim_a + dim_b, window),
+        dim_a_(dim_a),
+        dim_b_(dim_b),
+        metrics_(metrics) {
     SWSKETCH_CHECK_GT(dim_a, 0u);
     SWSKETCH_CHECK_GT(dim_b, 0u);
   }
@@ -68,35 +74,31 @@ class AmmSketch : public SlidingWindowSketch {
   size_t dim_a() const { return dim_a_; }
   size_t dim_b() const { return dim_b_; }
 
-  /// Stacked dimension d_a + d_b (the SlidingWindowSketch contract:
-  /// Update rows and Query columns are both this wide).
-  size_t dim() const override { return dim_a_ + dim_b_; }
-
   /// Two-operand convenience: stacks (row_a, row_b) and forwards to the
-  /// single-operand Update at the stacked dimension.
-  void UpdatePair(std::span<const double> row_a,
-                  std::span<const double> row_b, double ts) {
-    SWSKETCH_CHECK_EQ(row_a.size(), dim_a_);
-    SWSKETCH_CHECK_EQ(row_b.size(), dim_b_);
+  /// single-operand Update at the stacked dimension. An operand of the
+  /// wrong width is rejected like a stacked row of the wrong width.
+  Status UpdatePair(std::span<const double> row_a,
+                    std::span<const double> row_b, double ts) {
+    if (row_a.size() != dim_a_ || row_b.size() != dim_b_) {
+      return RejectOperands();
+    }
     stack_scratch_.resize(dim());
     for (size_t j = 0; j < dim_a_; ++j) stack_scratch_[j] = row_a[j];
     for (size_t j = 0; j < dim_b_; ++j) {
       stack_scratch_[dim_a_ + j] = row_b[j];
     }
-    Update(stack_scratch_, ts);
+    return Update(stack_scratch_, ts);
   }
 
   /// Batched two-operand ingest: a.Row(i) and b.Row(i) arrive together at
   /// ts[i]. Stacks once and rides the backend's UpdateBatch fast path.
-  void UpdatePairBatch(const Matrix& a, const Matrix& b,
-                       std::span<const double> ts) {
-    SWSKETCH_CHECK_EQ(a.rows(), b.rows());
-    SWSKETCH_CHECK_EQ(a.rows(), ts.size());
-    if (a.rows() > 0) {
-      SWSKETCH_CHECK_EQ(a.cols(), dim_a_);
-      SWSKETCH_CHECK_EQ(b.cols(), dim_b_);
+  Status UpdatePairBatch(const Matrix& a, const Matrix& b,
+                         std::span<const double> ts) {
+    if (a.rows() != b.rows() ||
+        (a.rows() > 0 && (a.cols() != dim_a_ || b.cols() != dim_b_))) {
+      return RejectOperands();
     }
-    UpdateBatch(StackOperands(a, b), ts);
+    return UpdateBatch(StackOperands(a, b), ts);
   }
 
   /// The d_a x d_b product estimate for the current window, extracted
@@ -156,6 +158,11 @@ class AmmSketch : public SlidingWindowSketch {
   virtual Matrix ComputeProduct() = 0;
 
  private:
+  Status RejectOperands() const {
+    MetricScope("sketch").counter("rows_rejected.dim")->Add();
+    return Status::InvalidArgument("operands are not (d_a, d_b) wide");
+  }
+
   size_t dim_a_;
   size_t dim_b_;
   MetricSet metrics_;

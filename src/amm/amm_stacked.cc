@@ -6,32 +6,28 @@
 namespace swsketch {
 
 AmmStacked::AmmStacked(size_t dim_a, size_t dim_b,
-                       std::unique_ptr<SlidingWindowSketch> inner)
-    : AmmStacked(dim_a, dim_b, std::move(inner),
-                 MetricSet(MetricScope("amm"))) {}
-
-AmmStacked::AmmStacked(size_t dim_a, size_t dim_b,
                        std::unique_ptr<SlidingWindowSketch> inner,
                        const MetricSet& metrics)
-    : AmmSketch(dim_a, dim_b, metrics), inner_(std::move(inner)) {
-  SWSKETCH_CHECK(inner_ != nullptr);
+    : AmmSketch(dim_a, dim_b, NonNull(inner).window(), metrics),
+      inner_(std::move(inner)) {
   SWSKETCH_CHECK_EQ(inner_->dim(), dim_a + dim_b);
+  set_now(inner_->now());
 }
 
-void AmmStacked::Update(std::span<const double> row, double ts) {
+void AmmStacked::Ingest(std::span<const double> row, double ts, double) {
   metrics().pairs_ingested->Add();
-  inner_->Update(row, ts);
+  PassedOn(inner_->Update(row, ts));
 }
 
-void AmmStacked::UpdateBatch(const Matrix& rows,
-                             std::span<const double> ts) {
+void AmmStacked::IngestBatch(const Matrix& rows, std::span<const double> ts,
+                             std::span<const double>) {
   metrics().pairs_ingested->Add(rows.rows());
-  inner_->UpdateBatch(rows, ts);
+  PassedOn(inner_->UpdateBatch(rows, ts));
 }
 
-void AmmStacked::UpdateSparse(const SparseVector& row, double ts) {
+void AmmStacked::IngestSparse(const SparseVector& row, double ts, double) {
   metrics().pairs_ingested->Add();
-  inner_->UpdateSparse(row, ts);
+  PassedOn(inner_->UpdateSparse(row, ts));
 }
 
 void AmmStacked::Serialize(ByteWriter* writer) const {
@@ -52,7 +48,7 @@ Result<AmmStacked> AmmStacked::Deserialize(ByteReader* reader) {
   }
   uint64_t dim_a = 0, dim_b = 0;
   if (!reader->Get(&dim_a) || !reader->Get(&dim_b) || dim_a == 0 ||
-      dim_b == 0) {
+      dim_b == 0 || !LoadableSize(dim_a, dim_b)) {
     return Status::InvalidArgument("bad AMM-stacked dims");
   }
   auto inner = DeserializeSlidingWindowSketch(reader);

@@ -14,7 +14,7 @@
 //   amm-di-fd  — DyadicInterval<FrequentDirections> underlying (sequence
 //                windows only), dyadic cover over stacked FD blocks.
 //
-// Every SlidingWindowSketch obligation (Update/UpdateBatch/AdvanceTo/
+// Every SlidingWindowSketch obligation (the ingest and advance steps,
 // Query/Flush/StateVersion/serialize) forwards to the underlying sketch,
 // so the wrapper inherits its error bound, its caches and its
 // concurrency contract unchanged; QueryProduct() adds a product cache
@@ -36,22 +36,13 @@ namespace swsketch {
 /// AMM wrapper over an arbitrary stacked-dimension sliding-window sketch.
 class AmmStacked : public AmmSketch {
  public:
-  /// `inner` must sketch dimension dim_a + dim_b.
-  AmmStacked(size_t dim_a, size_t dim_b,
-             std::unique_ptr<SlidingWindowSketch> inner);
-
-  /// Mass-construction overload (SketchPrototype): pre-resolved amm.*
-  /// metric handles.
+  /// `inner` must sketch dimension dim_a + dim_b. Mass construction
+  /// (SketchPrototype) passes pre-resolved amm.* metric handles.
   AmmStacked(size_t dim_a, size_t dim_b,
              std::unique_ptr<SlidingWindowSketch> inner,
-             const MetricSet& metrics);
+             const MetricSet& metrics = MetricSet(MetricScope("amm")));
 
   AmmStacked(AmmStacked&&) = default;
-
-  void Update(std::span<const double> row, double ts) override;
-  void UpdateBatch(const Matrix& rows, std::span<const double> ts) override;
-  void UpdateSparse(const SparseVector& row, double ts) override;
-  void AdvanceTo(double now) override { inner_->AdvanceTo(now); }
 
   /// The underlying stacked approximation C (columns = d_a + d_b).
   Matrix Query() override { return inner_->Query(); }
@@ -60,7 +51,6 @@ class AmmStacked : public AmmSketch {
   uint64_t StateVersion() const override { return inner_->StateVersion(); }
   size_t RowsStored() const override { return inner_->RowsStored(); }
   std::string name() const override { return "AMM[" + inner_->name() + "]"; }
-  const WindowSpec& window() const override { return inner_->window(); }
 
   const SlidingWindowSketch& inner() const { return *inner_; }
 
@@ -78,6 +68,12 @@ class AmmStacked : public AmmSketch {
   }
 
  private:
+  void Ingest(std::span<const double> row, double ts, double) override;
+  void IngestSparse(const SparseVector& row, double ts, double) override;
+  void IngestBatch(const Matrix& rows, std::span<const double> ts,
+                   std::span<const double>) override;
+  void Expire(double now) override { PassedOn(inner_->AdvanceTo(now)); }
+
   std::unique_ptr<SlidingWindowSketch> inner_;
 };
 

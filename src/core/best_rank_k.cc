@@ -9,22 +9,18 @@
 
 namespace swsketch {
 
-void BestRankK::Update(std::span<const double> row, double ts) {
-  SWSKETCH_CHECK_EQ(row.size(), dim_);
-  buffer_.Add(Row(std::vector<double>(row.begin(), row.end()), ts));
-}
-
 Matrix BestRankK::Query() {
-  Matrix b(0, dim_);
-  if (buffer_.empty()) return b;
-  const Matrix gram = buffer_.GramMatrix(dim_);
-  const TopEigen top = TopEigenpairsPsd(gram, std::min(k_, dim_));
+  const size_t d = dim();
+  Matrix b(0, d);
+  if (buffer().empty()) return b;
+  const Matrix gram = Covariance();
+  const TopEigen top = TopEigenpairsPsd(gram, std::min(k_, d));
   for (size_t i = 0; i < top.values.size(); ++i) {
     const double lam = std::max(top.values[i], 0.0);
     if (lam <= 0.0) break;
     const double s = std::sqrt(lam);
-    std::vector<double> row(dim_);
-    for (size_t j = 0; j < dim_; ++j) row[j] = s * top.vectors(j, i);
+    std::vector<double> row(d);
+    for (size_t j = 0; j < d; ++j) row[j] = s * top.vectors(j, i);
     b.AppendRow(row);
   }
   return b;

@@ -7,19 +7,16 @@
 
 #include <string>
 
-#include "core/sliding_window_sketch.h"
-#include "stream/window_buffer.h"
+#include "core/exact_window.h"
 
 namespace swsketch {
 
-/// Offline best rank-k reference over the sliding window.
-class BestRankK : public SlidingWindowSketch {
+/// Offline best rank-k reference over the sliding window: the exact
+/// window, answered through its top-k eigenpairs.
+class BestRankK : public ExactWindow {
  public:
   BestRankK(size_t dim, WindowSpec window, size_t k)
-      : dim_(dim), window_(window), k_(k), buffer_(window) {}
-
-  void Update(std::span<const double> row, double ts) override;
-  void AdvanceTo(double now) override { buffer_.AdvanceTo(now); }
+      : ExactWindow(dim, window), k_(k) {}
 
   /// B with k rows: sqrt(lambda_i) v_i^T for the top-k eigenpairs of
   /// A_W^T A_W, so B^T B = (A_k)^T (A_k) and the covariance error equals
@@ -27,17 +24,12 @@ class BestRankK : public SlidingWindowSketch {
   Matrix Query() override;
 
   size_t RowsStored() const override { return k_; }
-  size_t dim() const override { return dim_; }
   std::string name() const override { return "BEST"; }
-  const WindowSpec& window() const override { return window_; }
 
   size_t k() const { return k_; }
 
  private:
-  size_t dim_;
-  WindowSpec window_;
   size_t k_;
-  WindowBuffer buffer_;
 };
 
 /// Optimal covariance error of any rank-k approximation of a window with

@@ -21,9 +21,11 @@
 //    comparison baseline (bench/micro_query) and for workloads where
 //    per-update publication costs more than reader blocking.
 //
-// Identity accessors (dim/name/window) are captured at construction: the
-// inner sketch never changes them after construction, and caching removes
-// the old unguarded read of inner_ racing the writer.
+// Admission and the clock step run under the writer mutex (the base
+// class's GuardWith hook), so several writer threads may call Update; the
+// inner sketch admits the input again at its own entry points. dim/window
+// live in the base and the name is captured at construction, so readers
+// never touch inner_ unguarded.
 //
 // Use one sketch per stream partition (see distributed/) when the ingest
 // rate itself needs sharding.
@@ -62,50 +64,16 @@ class ConcurrentSketch : public SlidingWindowSketch {
 
   explicit ConcurrentSketch(std::unique_ptr<SlidingWindowSketch> inner,
                             Mode mode = Mode::kSnapshot)
-      : inner_(std::move(inner)), mode_(mode) {
-    SWSKETCH_CHECK(inner_ != nullptr);
-    dim_ = inner_->dim();
-    window_ = inner_->window();
+      : SlidingWindowSketch(NonNull(inner).dim(), NonNull(inner).window()),
+        inner_(std::move(inner)),
+        mode_(mode) {
+    set_now(inner_->now());
+    GuardWith(&mu_);
     name_ = inner_->name() + (mode_ == Mode::kSnapshot ? "+snap" : "+lock");
     if (mode_ == Mode::kSnapshot) {
       Metrics().snapshot_ctors->Add();
       Publish();
     }
-  }
-
-  void Update(std::span<const double> row, double ts) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    Metrics().mutations->Add();
-    inner_->Update(row, ts);
-    ++update_count_;
-    last_ts_ = ts;
-    if (mode_ == Mode::kSnapshot) Publish();
-  }
-
-  void UpdateSparse(const SparseVector& row, double ts) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    Metrics().mutations->Add();
-    inner_->UpdateSparse(row, ts);
-    ++update_count_;
-    last_ts_ = ts;
-    if (mode_ == Mode::kSnapshot) Publish();
-  }
-
-  void UpdateBatch(const Matrix& rows, std::span<const double> ts) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    Metrics().mutations->Add();
-    inner_->UpdateBatch(rows, ts);
-    update_count_ += rows.rows();
-    if (!ts.empty()) last_ts_ = ts.back();
-    if (mode_ == Mode::kSnapshot) Publish();  // One snapshot per batch.
-  }
-
-  void AdvanceTo(double now) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    Metrics().mutations->Add();
-    inner_->AdvanceTo(now);
-    last_ts_ = now;
-    if (mode_ == Mode::kSnapshot) Publish();
   }
 
   Matrix Query() override {
@@ -143,12 +111,34 @@ class ConcurrentSketch : public SlidingWindowSketch {
     return inner_->SerializeTo(writer);
   }
 
-  size_t dim() const override { return dim_; }
   std::string name() const override { return name_; }
-  const WindowSpec& window() const override { return window_; }
   Mode mode() const { return mode_; }
 
  private:
+  // The steps run with mu_ held by the base (GuardWith). One snapshot per
+  // call, so a batch publishes once.
+  void Ingest(std::span<const double> row, double ts, double) override {
+    Mutated(inner_->Update(row, ts), 1, ts);
+  }
+  void IngestSparse(const SparseVector& row, double ts, double) override {
+    Mutated(inner_->UpdateSparse(row, ts), 1, ts);
+  }
+  void IngestBatch(const Matrix& rows, std::span<const double> ts,
+                   std::span<const double>) override {
+    Mutated(inner_->UpdateBatch(rows, ts), rows.rows(), ts.back());
+  }
+  void Expire(double now) override {
+    Mutated(inner_->AdvanceTo(now), 0, now);
+  }
+
+  void Mutated(const Status& inner, size_t rows, double ts) {
+    PassedOn(inner);
+    Metrics().mutations->Add();
+    update_count_ += rows;
+    last_ts_ = ts;
+    if (mode_ == Mode::kSnapshot) Publish();
+  }
+
   // Builds and publishes a fresh snapshot. Caller holds mu_ (or is the
   // constructor). The snapshot is fully built before snap_mu_ is taken,
   // so readers only ever wait out a pointer assignment.
@@ -192,11 +182,9 @@ class ConcurrentSketch : public SlidingWindowSketch {
   uint64_t update_count_ = 0;  // Rows ingested; guarded by mu_.
   double last_ts_ = 0.0;       // Guarded by mu_.
 
-  // Immutable identity, captured at construction so readers never touch
-  // inner_ unguarded.
-  size_t dim_ = 0;
+  // Immutable, captured at construction so readers never touch inner_
+  // unguarded.
   std::string name_;
-  WindowSpec window_ = WindowSpec::Sequence(1);
 };
 
 }  // namespace swsketch

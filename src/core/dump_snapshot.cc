@@ -22,15 +22,9 @@ FrobeniusTracker MakeTracker(const DsFd::Options& options) {
 
 }  // namespace
 
-DsFd::DsFd(size_t dim, WindowSpec window, Options options)
-    : DsFd(dim, window, options,
-           MetricSet(MetricScope(MetricScope::Slug("DS-FD"))),
-           FrequentDirections::MakeShrinkScratch()) {}
-
 DsFd::DsFd(size_t dim, WindowSpec window, Options options,
            const MetricSet& metrics, std::shared_ptr<FdShrinkScratch> scratch)
-    : dim_(dim),
-      window_(window),
+    : SlidingWindowSketch(dim, window),
       options_(options),
       metrics_(metrics),
       fd_scratch_(std::move(scratch)),
@@ -43,13 +37,13 @@ DsFd::DsFd(size_t dim, WindowSpec window, Options options,
   frame_ell_ = std::clamp(
       static_cast<size_t>(std::lround(options_.frame_ell_factor *
                                       static_cast<double>(options_.ell))),
-      options_.ell, std::max(options_.ell, (dim_ + 1) / 2));
+      options_.ell, std::max(options_.ell, (dim + 1) / 2));
   // Frame shrinks are Gram eigensolves on capacity-sized systems, so the
   // capacity cap keeps them well under dim (16/25 ~ 0.64 of dim).
   frame_capacity_ = std::clamp(
       static_cast<size_t>(options_.fd_buffer_factor *
                           static_cast<double>(frame_ell_)),
-      frame_ell_, std::max(frame_ell_, 16 * dim_ / 25));
+      frame_ell_, std::max(frame_ell_, 16 * dim / 25));
   ladder_k_ = options_.snapshots_per_window != 0
                   ? options_.snapshots_per_window
                   : std::max<size_t>(8, 3 * options_.ell / 8);
@@ -87,7 +81,7 @@ DsFd::Frame& DsFd::OpenFrame(double ts) {
   // buffer_factor chosen so FD's truncating capacity resolution lands on
   // exactly frame_capacity_ rows.
   FrequentDirections fd(
-      dim_,
+      dim(),
       FrequentDirections::Options{
           .ell = frame_ell_,
           .buffer_factor = (static_cast<double>(frame_capacity_) + 0.5) /
@@ -101,7 +95,7 @@ DsFd::Frame& DsFd::OpenFrame(double ts) {
 }
 
 void DsFd::Expire(double now) {
-  const double start = window_.Start(now);
+  const double start = window().Start(now);
   tracker_.EvictBefore(start);
   while (!frames_.empty() && frames_.front().last < start) {
     const size_t ns = frames_.front().snapshots.size();
@@ -132,7 +126,7 @@ void DsFd::EvictFrontSnapshots(double window_start) {
 }
 
 double DsFd::SnapshotSpacing() const {
-  const double fhat = tracker_.Estimate(window_.Start(now_));
+  const double fhat = tracker_.Estimate(window().Start(now()));
   return std::max(fhat, 1e-300) / static_cast<double>(ladder_k_);
 }
 
@@ -146,7 +140,7 @@ void DsFd::DumpSnapshot(Frame& frame, double ts) {
   frame.fd.ShrinkNow();
   const Matrix& b = frame.fd.Approximation();
   const double cutoff = options_.snapshot_trunc * spacing;
-  Matrix snap(0, dim_);
+  Matrix snap(0, dim());
   snap.ReserveRows(b.rows());
   for (size_t i = 0; i < b.rows(); ++i) {
     const double w = NormSq(b.Row(i));
@@ -205,13 +199,8 @@ void DsFd::NoteRowNorm(double norm_sq) {
   }
 }
 
-void DsFd::Update(std::span<const double> row, double ts) {
-  SWSKETCH_CHECK_EQ(row.size(), dim_);
-  SWSKETCH_CHECK_GE(ts, now_);
-  ++mutation_version_;
-  now_ = ts;
+void DsFd::Ingest(std::span<const double> row, double ts, double w) {
   Expire(ts);
-  const double w = NormSq(row);
   if (w <= 0.0) return;
   metrics_.rows_ingested->Add();
   NoteRowNorm(w);
@@ -226,31 +215,24 @@ void DsFd::Update(std::span<const double> row, double ts) {
   // Cut once the frame alone spans a full window extent: every older
   // frame is then strictly older than any window starting at or after
   // `ts`, so at most this frame ever straddles the window start.
-  if (f.birth <= window_.Start(ts)) f.frozen = true;
-}
-
-void DsFd::AdvanceTo(double now) {
-  SWSKETCH_CHECK_GE(now, now_);
-  ++mutation_version_;
-  now_ = now;
-  Expire(now);
+  if (f.birth <= window().Start(ts)) f.frozen = true;
 }
 
 Matrix DsFd::Query() {
   metrics_.queries->Add();
-  Expire(now_);
+  Expire(now());
   // Empty window: an empty approximation (counted as a miss so
   // hits + misses == queries stays exact).
   if (frames_.empty()) {
     metrics_.query_cache_misses->Add();
-    return Matrix(0, dim_);
+    return Matrix(0, dim());
   }
   return result_memo_.Get(
-      mutation_version_, metrics_.query_cache_hits,
+      mutations(), metrics_.query_cache_hits,
       metrics_.query_cache_misses, [this] {
-        const double start = window_.Start(now_);
+        const double start = window().Start(now());
         CompressScratch& s = EnsureCompress();
-        s.stack.ResetShape(0, dim_);
+        s.stack.ResetShape(0, dim());
         s.signs.clear();
         size_t total = 0;
         for (const Frame& f : frames_) total += f.fd.RowsStored();
@@ -294,7 +276,7 @@ Matrix DsFd::CompressSigned(size_t max_rows, double min_eigenvalue) {
   CompressScratch& s = *compress_;
   const Matrix& stack = s.stack;
   const size_t m = stack.rows();
-  if (m == 0 || max_rows == 0) return Matrix(0, dim_);
+  if (m == 0 || max_rows == 0) return Matrix(0, dim());
   SWSKETCH_CHECK_EQ(s.signs.size(), m);
 
   // A = S S^T, the m x m row-space Gram (never a d x d system).
@@ -311,7 +293,7 @@ Matrix DsFd::CompressSigned(size_t max_rows, double min_eigenvalue) {
          std::sqrt(ea.eigenvalues[r]) > cutoff_a) {
     ++r;
   }
-  if (r == 0) return Matrix(0, dim_);
+  if (r == 0) return Matrix(0, dim());
 
   // Restricted signed target M = Q (S^T J S) Q^T for the orthonormal
   // row-span basis Q = Lambda^{-1/2} W^T S, which collapses to
@@ -345,7 +327,7 @@ Matrix DsFd::CompressSigned(size_t max_rows, double min_eigenvalue) {
          std::sqrt(std::max(em.eigenvalues[k], 0.0)) > cutoff_m) {
     ++k;
   }
-  if (k == 0) return Matrix(0, dim_);
+  if (k == 0) return Matrix(0, dim());
 
   // Y = W_r^T S re-expresses the basis in R^d; output row j is
   // sqrt(sigma_j) u_j^T Q = sum_b (sqrt(sigma_j) U_{bj} / sqrt(lambda_b))
@@ -370,8 +352,8 @@ Matrix DsFd::CompressSigned(size_t max_rows, double min_eigenvalue) {
 
 void DsFd::Serialize(ByteWriter* writer) const {
   WriteHeader(writer, kSerialTag, 1);
-  writer->Put<uint64_t>(dim_);
-  window_.Serialize(writer);
+  writer->Put<uint64_t>(dim());
+  window().Serialize(writer);
   writer->Put<uint64_t>(options_.ell);
   writer->Put<uint64_t>(options_.snapshots_per_window);
   writer->Put(options_.snapshot_trunc);
@@ -379,7 +361,7 @@ void DsFd::Serialize(ByteWriter* writer) const {
   writer->Put(options_.fd_buffer_factor);
   writer->Put(options_.frobenius_eps);
   writer->Put<uint8_t>(options_.exact_frobenius ? 1 : 0);
-  writer->Put(now_);
+  writer->Put(now());
   writer->Put<uint64_t>(next_id_);
   tracker_.Serialize(writer);
   writer->Put<uint64_t>(frames_.size());
@@ -399,12 +381,6 @@ void DsFd::Serialize(ByteWriter* writer) const {
   }
 }
 
-Result<DsFd> DsFd::Deserialize(ByteReader* reader) {
-  return Deserialize(reader,
-                     MetricSet(MetricScope(MetricScope::Slug("DS-FD"))),
-                     FrequentDirections::MakeShrinkScratch());
-}
-
 Result<DsFd> DsFd::Deserialize(ByteReader* reader, const MetricSet& metrics,
                                std::shared_ptr<FdShrinkScratch> scratch) {
   if (!CheckHeader(reader, kSerialTag, 1)) {
@@ -421,7 +397,8 @@ Result<DsFd> DsFd::Deserialize(ByteReader* reader, const MetricSet& metrics,
   if (!reader->Get(&ell) || !reader->Get(&k) || !reader->Get(&trunc) ||
       !reader->Get(&fell) || !reader->Get(&factor) || !reader->Get(&eps) ||
       !reader->Get(&exact) || ell < 2 || !(trunc >= 0.0) ||
-      !(fell >= 1.0) || !(factor >= 1.0) || !(eps > 0.0)) {
+      !(fell >= 1.0) || !(factor >= 1.0) || !(eps > 0.0 && eps < 1.0) ||
+      !LoadableSize(fell * factor * static_cast<double>(ell), dim)) {
     return Status::InvalidArgument("corrupt DsFd payload");
   }
   DsFd sketch(dim, *window,
@@ -431,21 +408,23 @@ Result<DsFd> DsFd::Deserialize(ByteReader* reader, const MetricSet& metrics,
                       .exact_frobenius = exact != 0},
               metrics, std::move(scratch));
   uint64_t nframes = 0;
-  if (!reader->Get(&sketch.now_) || !reader->Get(&sketch.next_id_) ||
-      !sketch.tracker_.Deserialize(reader) || !reader->Get(&nframes)) {
+  double now = 0.0;
+  if (!reader->Get(&now) || !sketch.Restore(now) ||
+      !reader->Get(&sketch.next_id_) ||
+      !sketch.tracker_.Deserialize(reader, now) || !reader->Get(&nframes)) {
     return Status::InvalidArgument("corrupt DsFd payload");
   }
-  sketch.frames_.reserve(nframes);
   for (uint64_t i = 0; i < nframes; ++i) {
     double birth = 0.0, last = 0.0, mass = 0.0, since = 0.0;
     uint8_t frozen = 0;
     if (!reader->Get(&birth) || !reader->Get(&last) || !reader->Get(&mass) ||
-        !reader->Get(&since) || !reader->Get(&frozen) || last < birth) {
+        !reader->Get(&since) || !reader->Get(&frozen) || last < birth ||
+        !std::isfinite(birth + last + mass + since)) {
       return Status::InvalidArgument("corrupt DsFd frame");
     }
     auto fd = FrequentDirections::Deserialize(reader);
     if (!fd.ok()) return fd.status();
-    if (fd->dim() != sketch.dim_) {
+    if (fd->dim() != sketch.dim()) {
       return Status::InvalidArgument("DsFd frame dim mismatch");
     }
     if (sketch.fd_scratch_) fd->ShareShrinkScratch(sketch.fd_scratch_);
@@ -456,35 +435,30 @@ Result<DsFd> DsFd::Deserialize(ByteReader* reader, const MetricSet& metrics,
     if (!reader->Get(&nsnaps)) {
       return Status::InvalidArgument("corrupt DsFd frame");
     }
-    frame.snapshots.reserve(nsnaps);
     for (uint64_t j = 0; j < nsnaps; ++j) {
       double ts = 0.0, fm = 0.0;
-      if (!reader->Get(&ts) || !reader->Get(&fm)) {
+      if (!reader->Get(&ts) || !reader->Get(&fm) ||
+          !std::isfinite(ts + fm)) {
         return Status::InvalidArgument("corrupt DsFd snapshot");
       }
       auto rows = Matrix::Deserialize(reader);
       if (!rows.ok()) return rows.status();
-      if (!rows->empty() && rows->cols() != sketch.dim_) {
-        return Status::InvalidArgument("DsFd snapshot dim mismatch");
+      if ((!rows->empty() && rows->cols() != sketch.dim()) ||
+          !std::isfinite(rows->FrobeniusNormSq())) {
+        return Status::InvalidArgument("corrupt DsFd snapshot rows");
       }
       frame.snapshots.push_back(Snapshot{ts, fm, std::move(rows.take())});
     }
+    // Counted into the *_loaded ledgers as it joins, so a payload refused
+    // later settles it as discarded and conservation holds.
+    const size_t ns = frame.snapshots.size();
     sketch.frames_.push_back(std::move(frame));
-  }
-  // Ledger: loaded frames/snapshots enter the live gauges through the
-  // *_loaded counters so conservation holds across checkpoint/restore.
-  const size_t ns = sketch.num_snapshots();
-  if (!sketch.frames_.empty()) {
-    sketch.metrics_.frames_loaded->Add(sketch.frames_.size());
-    sketch.metrics_.live_frames->Add(
-        static_cast<int64_t>(sketch.frames_.size()));
-  }
-  if (ns != 0) {
+    sketch.metrics_.frames_loaded->Add();
+    sketch.metrics_.live_frames->Add(1);
     sketch.metrics_.snapshots_loaded->Add(ns);
     sketch.metrics_.live_snapshots->Add(static_cast<int64_t>(ns));
   }
   sketch.metrics_.reloads->Add();
-  ++sketch.mutation_version_;
   return sketch;
 }
 

@@ -161,14 +161,14 @@ class DsFd : public SlidingWindowSketch {
     Histogram* snapshot_rows;
   };
 
-  DsFd(size_t dim, WindowSpec window, Options options);
-
-  /// Mass-construction overload (SketchPrototype): pre-resolved metric
+  /// Mass construction (SketchPrototype) passes pre-resolved metric
   /// handles and a shared FD shrink scratch instead of per-instance
   /// registry probes and arena churn. All sharers must run one thread at
   /// a time (the TenantManager contract).
   DsFd(size_t dim, WindowSpec window, Options options,
-       const MetricSet& metrics, std::shared_ptr<FdShrinkScratch> scratch);
+       const MetricSet& metrics = MetricSet(MetricScope("ds_fd")),
+       std::shared_ptr<FdShrinkScratch> scratch =
+           FrequentDirections::MakeShrinkScratch());
 
   // Move-only: the destructor settles the live gauges for whatever this
   // instance still holds, and moving leaves the source's frames_ empty
@@ -177,23 +177,17 @@ class DsFd : public SlidingWindowSketch {
   DsFd(DsFd&&) = default;
   ~DsFd() override;
 
-  void Update(std::span<const double> row, double ts) override;
-
-  void AdvanceTo(double now) override;
-
   /// Signed-stack PSD projection described in the file comment. At most
   /// ell rows. Cached until the next mutation.
   Matrix Query() override;
 
-  uint64_t StateVersion() const override { return mutation_version_; }
+  uint64_t StateVersion() const override { return mutations(); }
 
   /// Resident rows: every frame's FD buffer plus every retained snapshot
   /// row (the honest space figure the harness reports).
   size_t RowsStored() const override;
 
-  size_t dim() const override { return dim_; }
   std::string name() const override { return "DS-FD"; }
-  const WindowSpec& window() const override { return window_; }
 
   size_t num_frames() const { return frames_.size(); }
   size_t num_snapshots() const;
@@ -216,14 +210,15 @@ class DsFd : public SlidingWindowSketch {
 
   /// Version 1 DS-FD wire format (v2 container conventions: framed
   /// header, explicit sizes; FD payloads use the FD tag's own format).
-  /// The second Deserialize overload reloads onto the cheap-construction
-  /// path's shared metric handles and workspace.
+  /// Deserialize reloads onto the given (or its own) metric handles and
+  /// workspace.
   static constexpr uint32_t kSerialTag = 0x44534601;  // "DSF\x01"
   void Serialize(ByteWriter* writer) const;
-  static Result<DsFd> Deserialize(ByteReader* reader);
-  static Result<DsFd> Deserialize(ByteReader* reader,
-                                  const MetricSet& metrics,
-                                  std::shared_ptr<FdShrinkScratch> scratch);
+  static Result<DsFd> Deserialize(
+      ByteReader* reader,
+      const MetricSet& metrics = MetricSet(MetricScope("ds_fd")),
+      std::shared_ptr<FdShrinkScratch> scratch =
+          FrequentDirections::MakeShrinkScratch());
   Status SerializeTo(ByteWriter* writer) const override {
     Serialize(writer);
     return Status::OK();
@@ -259,9 +254,11 @@ class DsFd : public SlidingWindowSketch {
     Matrix basis;                  // Y = W_r^T S (r x d).
   };
 
+  void Ingest(std::span<const double> row, double ts,
+              double norm_sq) override;
+  void Expire(double now) override;
   Frame& OpenFrame(double ts);
   void NoteRowNorm(double norm_sq);
-  void Expire(double now);
   void EvictFrontSnapshots(double window_start);
   void ThinLadder(Frame& frame, double spacing);
   double SnapshotSpacing() const;
@@ -273,8 +270,6 @@ class DsFd : public SlidingWindowSketch {
   // span, dropping eigenvalues below min_eigenvalue. Deterministic.
   Matrix CompressSigned(size_t max_rows, double min_eigenvalue);
 
-  size_t dim_;
-  WindowSpec window_;
   Options options_;
   // Dim-aware resolution of the options (see the Options doc comments):
   // frame_ell_ = round(frame_ell_factor * ell) in [ell, (dim + 1) / 2],
@@ -289,7 +284,6 @@ class DsFd : public SlidingWindowSketch {
 
   std::vector<Frame> frames_;  // Oldest first; back() may be active.
   FrobeniusTracker tracker_;
-  double now_ = 0.0;
   uint64_t next_id_ = 0;
 
   // Heavy-tail detector state (kHeavyTailNormSqRatio). Lifetime extrema,
@@ -299,8 +293,7 @@ class DsFd : public SlidingWindowSketch {
   double min_row_norm_sq_ = 0.0;  // 0 = no positive-norm row seen yet.
   bool heavy_tail_warned_ = false;
 
-  uint64_t mutation_version_ = 0;
-  Memo<uint64_t, Matrix> result_memo_;  // Keyed by mutation_version_.
+  Memo<uint64_t, Matrix> result_memo_;  // Keyed by StateVersion().
 };
 
 }  // namespace swsketch

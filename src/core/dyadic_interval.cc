@@ -17,10 +17,6 @@ size_t LevelEll(size_t level, size_t num_levels, size_t ell_top,
 
 }  // namespace
 
-DiFd::DiFd(size_t dim, Options options)
-    : DiFd(dim, options, MetricSet(MetricScope(MetricScope::Slug("DI-FD"))),
-           FrequentDirections::MakeShrinkScratch()) {}
-
 DiFd::DiFd(size_t dim, Options options, const MetricSet& metrics,
            std::shared_ptr<FdShrinkScratch> scratch)
     : DyadicInterval<FrequentDirections>(
@@ -56,12 +52,6 @@ void DiFd::Serialize(ByteWriter* writer) const {
   SerializeCore(writer);
 }
 
-Result<DiFd> DiFd::Deserialize(ByteReader* reader) {
-  return Deserialize(reader,
-                     MetricSet(MetricScope(MetricScope::Slug("DI-FD"))),
-                     FrequentDirections::MakeShrinkScratch());
-}
-
 Result<DiFd> DiFd::Deserialize(ByteReader* reader, const MetricSet& metrics,
                                std::shared_ptr<FdShrinkScratch> scratch) {
   // Version 2: per-block FD buffer factor added (version-1 payloads
@@ -73,8 +63,11 @@ Result<DiFd> DiFd::Deserialize(ByteReader* reader, const MetricSet& metrics,
   double max_norm_sq = 0.0, fd_factor = 1.0;
   if (!reader->Get(&dim) || !reader->Get(&levels) || !reader->Get(&window) ||
       !reader->Get(&max_norm_sq) || !reader->Get(&ell_top) ||
-      !reader->Get(&ell_min) || !reader->Get(&fd_factor) || levels == 0 ||
-      window == 0 || !(max_norm_sq > 0.0) || !(fd_factor >= 1.0)) {
+      !reader->Get(&ell_min) || !reader->Get(&fd_factor) ||
+      !DyadicIntervalOptions{levels, window, max_norm_sq}.Valid() ||
+      !(fd_factor >= 1.0) ||
+      !LoadableSize(fd_factor * static_cast<double>(std::max(ell_top, ell_min)),
+                    static_cast<double>(dim) * static_cast<double>(levels))) {
     return Status::InvalidArgument("corrupt DiFd payload");
   }
   DiFd sketch(dim, Options{.levels = levels, .window_size = window,

@@ -68,6 +68,16 @@ struct DyadicIntervalOptions {
   uint64_t window_size = 10000;
   /// Upper bound R on squared row norms (needed a priori, Table 1).
   double max_norm_sq = 1.0;
+
+  /// Level-1 block capacity N R / 2^L in squared-norm mass.
+  double Level1Capacity() const {
+    return static_cast<double>(window_size) * max_norm_sq /
+           std::ldexp(1.0, static_cast<int>(levels));
+  }
+  /// 1 <= L < 64 and a positive level-1 capacity (so N, R > 0).
+  bool Valid() const {
+    return levels >= 1 && levels < 64 && Level1Capacity() > 0.0;
+  }
 };
 
 /// The Dyadic Interval method over an arbitrary streaming sketch type.
@@ -126,18 +136,13 @@ class DyadicInterval : public SlidingWindowSketch {
   DyadicInterval(size_t dim, DyadicIntervalOptions options,
                  LevelSketchFactory factory, std::string name,
                  const MetricSet& metrics)
-      : dim_(dim),
-        window_(WindowSpec::Sequence(options.window_size)),
+      : SlidingWindowSketch(dim, WindowSpec::Sequence(options.window_size)),
         options_(options),
         factory_(std::move(factory)),
         name_(std::move(name)),
         metrics_(metrics) {
-    SWSKETCH_CHECK_GE(options_.levels, 1u);
-    SWSKETCH_CHECK_GT(options_.max_norm_sq, 0.0);
-    const double total = static_cast<double>(options_.window_size) *
-                         options_.max_norm_sq;
-    level1_capacity_ = total / std::ldexp(1.0, static_cast<int>(options_.levels));
-    SWSKETCH_CHECK_GT(level1_capacity_, 0.0);
+    SWSKETCH_CHECK(options_.Valid());
+    level1_capacity_ = options_.Level1Capacity();
     levels_.resize(options_.levels);
     for (size_t i = 0; i < options_.levels; ++i) {
       actives_.push_back(Active{factory_(i + 1), 0.0, 0.0, false});
@@ -157,9 +162,189 @@ class DyadicInterval : public SlidingWindowSketch {
     }
   }
 
-  void Update(std::span<const double> row, double ts) override {
-    SWSKETCH_CHECK_EQ(row.size(), dim_);
-    Step(ts, NormSq(row), /*expire=*/true,
+  Matrix Query() override {
+    metrics_.queries->Add();
+    Expire(now());
+    const double start = window().Start(now());
+
+    // First level-1 block fully inside the window.
+    uint64_t j0 = closed_l1_;
+    for (const Block& blk : levels_[0]) {
+      if (blk.start_ts >= start) {
+        j0 = blk.l1_begin;
+        break;
+      }
+    }
+
+    // Final-result cache: same structure, same cover anchor, same active
+    // rows (next_id_ pins the level-1 active sketch) — return the copy.
+    return result_memo_.Get(
+        {structure_version_, j0, next_id_}, metrics_.query_cache_hits,
+        metrics_.query_cache_misses, [&] {
+          // Cover cache: under a fixed version the greedy cover is a pure
+          // function of j0 (closed_l1_ only changes with the version).
+          Matrix b = cover_memo_.Get(
+              {structure_version_, j0}, metrics_.cover_cache_hits,
+              metrics_.cover_cache_misses, [&] { return AssembleCover(j0); });
+          // The level-1 active sketch covers the most recent rows.
+          if (actives_[0].started) {
+            b = b.VStack(actives_[0].sketch.Approximation());
+          }
+          return b;
+        });
+  }
+
+  /// Drops the cached cover and cached result so the next Query() takes
+  /// the cold path (bench/test hook; behaviour is unchanged).
+  void InvalidateQueryCache() {
+    cover_memo_.Reset();
+    result_memo_.Reset();
+  }
+
+  /// Structure version: bumped on every level-1 close (which closes all
+  /// aligned levels), on block expiry, and on reload (test hook).
+  uint64_t structure_version() const { return structure_version_; }
+
+  /// Unlike structure_version(), this also moves on active-sketch appends
+  /// and window advances (both feed Query directly), so wrappers can key
+  /// result caches on it.
+  uint64_t StateVersion() const override { return mutations(); }
+
+  size_t RowsStored() const override {
+    size_t n = 0;
+    for (const auto& level : levels_) {
+      for (const Block& blk : level) n += blk.sketch.RowsStored();
+    }
+    for (const auto& a : actives_) n += a.sketch.RowsStored();
+    return n;
+  }
+
+  std::string name() const override { return name_; }
+
+  size_t NumLevels() const { return options_.levels; }
+
+  /// Total closed blocks currently retained.
+  size_t NumBlocks() const {
+    size_t n = 0;
+    for (const auto& level : levels_) n += level.size();
+    return n;
+  }
+
+  /// Serializes framework state (counters, actives, closed blocks); the
+  /// concrete subclass writes its configuration first.
+  void SerializeCore(ByteWriter* writer) const {
+    writer->Put(level1_capacity_);
+    writer->Put(level1_mass_);
+    writer->Put<uint64_t>(level1_rows_);
+    writer->Put<uint64_t>(closed_l1_);
+    writer->Put<uint64_t>(next_id_);
+    writer->Put(now());
+    writer->Put<uint64_t>(actives_.size());
+    for (const Active& a : actives_) {
+      writer->Put(a.start_ts);
+      writer->Put(a.end_ts);
+      writer->Put<uint8_t>(a.started ? 1 : 0);
+      a.sketch.Serialize(writer);
+    }
+    writer->Put<uint64_t>(levels_.size());
+    for (const auto& level : levels_) {
+      writer->Put<uint64_t>(level.size());
+      for (const Block& blk : level) {
+        writer->Put<uint64_t>(blk.l1_begin);
+        writer->Put<uint64_t>(blk.l1_end);
+        writer->Put(blk.start_ts);
+        writer->Put(blk.end_ts);
+        blk.sketch.Serialize(writer);
+      }
+    }
+  }
+
+  /// Loads framework state into a freshly-constructed matching object.
+  /// FD sketches adopt `fd_scratch` as their shrink workspace, the one the
+  /// factory hands to sketches this instance creates (null: each creates
+  /// its own lazily).
+  Status DeserializeCore(
+      ByteReader* reader,
+      const std::shared_ptr<FdShrinkScratch>& fd_scratch = nullptr) {
+    // Blocks held before the load are overwritten: settle them in the
+    // ledger as discarded so the live_blocks gauge stays exact.
+    const size_t overwritten = NumBlocks();
+    if (overwritten != 0) {
+      metrics_.blocks_discarded->Add(overwritten);
+      metrics_.live_blocks->Add(-static_cast<int64_t>(overwritten));
+    }
+    uint64_t num_actives = 0, num_levels = 0;
+    double now = 0.0;
+    if (!reader->Get(&level1_capacity_) || !reader->Get(&level1_mass_) ||
+        !reader->Get(&level1_rows_) || !reader->Get(&closed_l1_) ||
+        !reader->Get(&next_id_) || !reader->Get(&now) || !Restore(now) ||
+        !reader->Get(&num_actives) || num_actives != actives_.size() ||
+        !(level1_capacity_ > 0.0) || !std::isfinite(level1_mass_)) {
+      return Status::InvalidArgument("corrupt DI payload");
+    }
+    for (Active& a : actives_) {
+      uint8_t started = 0;
+      if (!reader->Get(&a.start_ts) || !reader->Get(&a.end_ts) ||
+          !reader->Get(&started) || !std::isfinite(a.start_ts + a.end_ts)) {
+        return Status::InvalidArgument("corrupt DI payload");
+      }
+      a.started = started != 0;
+      auto sketch = LoadSketch(reader, fd_scratch);
+      if (!sketch.ok()) return sketch.status();
+      a.sketch = sketch.take();
+    }
+    if (!reader->Get(&num_levels) || num_levels != levels_.size()) {
+      return Status::InvalidArgument("corrupt DI payload");
+    }
+    for (auto& level : levels_) {
+      uint64_t blocks = 0;
+      if (!reader->Get(&blocks)) {
+        return Status::InvalidArgument("corrupt DI payload");
+      }
+      level.clear();
+      for (uint64_t i = 0; i < blocks; ++i) {
+        uint64_t begin = 0, end = 0;
+        double st = 0.0, et = 0.0;
+        if (!reader->Get(&begin) || !reader->Get(&end) ||
+            !reader->Get(&st) || !reader->Get(&et) ||
+            !std::isfinite(st + et)) {
+          return Status::InvalidArgument("corrupt DI payload");
+        }
+        auto sketch = LoadSketch(reader, fd_scratch);
+        if (!sketch.ok()) return sketch.status();
+        level.push_back(Block(sketch.take(), begin, end, st, et));
+        // Counted as it joins, so a payload refused later settles it.
+        metrics_.blocks_loaded->Add();
+        metrics_.live_blocks->Add(1);
+      }
+    }
+    // Cache state is never serialized: a reloaded sketch starts cold with
+    // a fresh structure version.
+    ++structure_version_;
+    InvalidateQueryCache();
+    metrics_.reloads->Add();
+    return Status::OK();
+  }
+
+  /// Test hook: structural invariants — dyadic alignment and time order.
+  void CheckInvariants() const {
+    for (size_t li = 0; li < levels_.size(); ++li) {
+      const uint64_t span = 1ULL << li;
+      uint64_t prev_end = 0;
+      bool first = true;
+      for (const Block& blk : levels_[li]) {
+        SWSKETCH_CHECK_EQ(blk.l1_end - blk.l1_begin, span);
+        SWSKETCH_CHECK_EQ(blk.l1_begin % span, 0u);
+        if (!first) SWSKETCH_CHECK_EQ(blk.l1_begin, prev_end);
+        prev_end = blk.l1_end;
+        first = false;
+      }
+    }
+  }
+
+ private:
+  void Ingest(std::span<const double> row, double ts, double w) override {
+    Step(ts, w, /*expire=*/true,
          [&](SketchT& sketch, uint64_t id) { sketch.Append(row, id); },
          [] {});
   }
@@ -167,9 +352,8 @@ class DyadicInterval : public SlidingWindowSketch {
   /// O(nnz) per level instead of O(d): the row fans into L active
   /// sketches, so sparse streams (WIKI/RAIL at paper scale) gain the most
   /// here.
-  void UpdateSparse(const SparseVector& row, double ts) override {
-    SWSKETCH_CHECK_EQ(row.dim(), dim_);
-    Step(ts, row.NormSq(), /*expire=*/true,
+  void IngestSparse(const SparseVector& row, double ts, double w) override {
+    Step(ts, w, /*expire=*/true,
          [&](SketchT& sketch, uint64_t id) { sketch.AppendSparse(row, id); },
          [] {});
   }
@@ -184,10 +368,8 @@ class DyadicInterval : public SlidingWindowSketch {
   /// the closed deques, and expired blocks form a front prefix, so the
   /// deferral is state-identical. DI-FD stays bit-identical (FD runs replay
   /// per-row appends); DI-RP inherits RP's batch accumulation-order caveat.
-  void UpdateBatch(const Matrix& rows, std::span<const double> ts) override {
-    SWSKETCH_CHECK_EQ(rows.rows(), ts.size());
-    if (rows.rows() == 0) return;
-    SWSKETCH_CHECK_EQ(rows.cols(), dim_);
+  void IngestBatch(const Matrix& rows, std::span<const double> ts,
+                   std::span<const double> norms_sq) override {
     size_t rb = 0;                     // Pending (unforwarded) run start.
     uint64_t run_first_id = next_id_;  // Id of the run's first row.
     const auto flush = [&](size_t re) {
@@ -201,7 +383,7 @@ class DyadicInterval : public SlidingWindowSketch {
     };
     for (size_t i = 0; i < rows.rows(); ++i) {
       const bool appended =
-          Step(ts[i], NormSq(rows.Row(i)), /*expire=*/false,
+          Step(ts[i], norms_sq[i], /*expire=*/false,
                [](SketchT&, uint64_t) {}, [&] { flush(i + 1); });
       if (!appended) {
         flush(i);
@@ -209,21 +391,17 @@ class DyadicInterval : public SlidingWindowSketch {
       }
     }
     flush(rows.rows());
-    Expire(now_);
+    Expire(ts.back());
   }
 
- private:
-  // One row of Algorithm 7.1: time check, optional expiry, zero-norm skip,
-  // active start/end stamps, level-1 accounting and the aligned-level
-  // close. `append(sketch, id)` feeds the row to one level's active sketch;
+  // One row of Algorithm 7.1: optional expiry, zero-norm skip, active
+  // start/end stamps, level-1 accounting and the aligned-level close.
+  // `append(sketch, id)` feeds the row to one level's active sketch;
   // `before_close()` runs just before a level-1 close replaces the aligned
   // actives. Returns false for a zero row, which is never appended.
   template <typename AppendFn, typename CloseFn>
   bool Step(double ts, double w, bool expire, AppendFn&& append,
             CloseFn&& before_close) {
-    SWSKETCH_CHECK_GE(ts, now_);
-    ++mutation_version_;
-    now_ = ts;
     if (expire) Expire(ts);
 
     if (w <= 0.0) return false;
@@ -271,197 +449,6 @@ class DyadicInterval : public SlidingWindowSketch {
     return true;
   }
 
- public:
-  void AdvanceTo(double now) override {
-    SWSKETCH_CHECK_GE(now, now_);
-    ++mutation_version_;
-    now_ = now;
-    Expire(now);
-  }
-
-  Matrix Query() override {
-    metrics_.queries->Add();
-    Expire(now_);
-    const double start = window_.Start(now_);
-
-    // First level-1 block fully inside the window.
-    uint64_t j0 = closed_l1_;
-    for (const Block& blk : levels_[0]) {
-      if (blk.start_ts >= start) {
-        j0 = blk.l1_begin;
-        break;
-      }
-    }
-
-    // Final-result cache: same structure, same cover anchor, same active
-    // rows (next_id_ pins the level-1 active sketch) — return the copy.
-    return result_memo_.Get(
-        {structure_version_, j0, next_id_}, metrics_.query_cache_hits,
-        metrics_.query_cache_misses, [&] {
-          // Cover cache: under a fixed version the greedy cover is a pure
-          // function of j0 (closed_l1_ only changes with the version).
-          Matrix b = cover_memo_.Get(
-              {structure_version_, j0}, metrics_.cover_cache_hits,
-              metrics_.cover_cache_misses, [&] { return AssembleCover(j0); });
-          // The level-1 active sketch covers the most recent rows.
-          if (actives_[0].started) {
-            b = b.VStack(actives_[0].sketch.Approximation());
-          }
-          return b;
-        });
-  }
-
-  /// Drops the cached cover and cached result so the next Query() takes
-  /// the cold path (bench/test hook; behaviour is unchanged).
-  void InvalidateQueryCache() {
-    cover_memo_.Reset();
-    result_memo_.Reset();
-  }
-
-  /// Structure version: bumped on every level-1 close (which closes all
-  /// aligned levels), on block expiry, and on reload (test hook).
-  uint64_t structure_version() const { return structure_version_; }
-
-  /// Unlike structure_version(), this also moves on active-sketch appends
-  /// and window advances (both feed Query directly), so wrappers can key
-  /// result caches on it.
-  uint64_t StateVersion() const override { return mutation_version_; }
-
-  size_t RowsStored() const override {
-    size_t n = 0;
-    for (const auto& level : levels_) {
-      for (const Block& blk : level) n += blk.sketch.RowsStored();
-    }
-    for (const auto& a : actives_) n += a.sketch.RowsStored();
-    return n;
-  }
-
-  size_t dim() const override { return dim_; }
-  std::string name() const override { return name_; }
-  const WindowSpec& window() const override { return window_; }
-
-  size_t NumLevels() const { return options_.levels; }
-
-  /// Total closed blocks currently retained.
-  size_t NumBlocks() const {
-    size_t n = 0;
-    for (const auto& level : levels_) n += level.size();
-    return n;
-  }
-
-  /// Serializes framework state (counters, actives, closed blocks); the
-  /// concrete subclass writes its configuration first.
-  void SerializeCore(ByteWriter* writer) const {
-    writer->Put(level1_capacity_);
-    writer->Put(level1_mass_);
-    writer->Put<uint64_t>(level1_rows_);
-    writer->Put<uint64_t>(closed_l1_);
-    writer->Put<uint64_t>(next_id_);
-    writer->Put(now_);
-    writer->Put<uint64_t>(actives_.size());
-    for (const Active& a : actives_) {
-      writer->Put(a.start_ts);
-      writer->Put(a.end_ts);
-      writer->Put<uint8_t>(a.started ? 1 : 0);
-      a.sketch.Serialize(writer);
-    }
-    writer->Put<uint64_t>(levels_.size());
-    for (const auto& level : levels_) {
-      writer->Put<uint64_t>(level.size());
-      for (const Block& blk : level) {
-        writer->Put<uint64_t>(blk.l1_begin);
-        writer->Put<uint64_t>(blk.l1_end);
-        writer->Put(blk.start_ts);
-        writer->Put(blk.end_ts);
-        blk.sketch.Serialize(writer);
-      }
-    }
-  }
-
-  /// Loads framework state into a freshly-constructed matching object.
-  /// FD sketches adopt `fd_scratch` as their shrink workspace, the one the
-  /// factory hands to sketches this instance creates (null: each creates
-  /// its own lazily).
-  Status DeserializeCore(
-      ByteReader* reader,
-      const std::shared_ptr<FdShrinkScratch>& fd_scratch = nullptr) {
-    // Blocks held before the load are overwritten: settle them in the
-    // ledger as discarded so the live_blocks gauge stays exact.
-    const size_t overwritten = NumBlocks();
-    if (overwritten != 0) {
-      metrics_.blocks_discarded->Add(overwritten);
-      metrics_.live_blocks->Add(-static_cast<int64_t>(overwritten));
-    }
-    uint64_t num_actives = 0, num_levels = 0;
-    if (!reader->Get(&level1_capacity_) || !reader->Get(&level1_mass_) ||
-        !reader->Get(&level1_rows_) || !reader->Get(&closed_l1_) ||
-        !reader->Get(&next_id_) || !reader->Get(&now_) ||
-        !reader->Get(&num_actives) || num_actives != actives_.size()) {
-      return Status::InvalidArgument("corrupt DI payload");
-    }
-    for (Active& a : actives_) {
-      uint8_t started = 0;
-      if (!reader->Get(&a.start_ts) || !reader->Get(&a.end_ts) ||
-          !reader->Get(&started)) {
-        return Status::InvalidArgument("corrupt DI payload");
-      }
-      a.started = started != 0;
-      auto sketch = LoadSketch(reader, fd_scratch);
-      if (!sketch.ok()) return sketch.status();
-      a.sketch = sketch.take();
-    }
-    if (!reader->Get(&num_levels) || num_levels != levels_.size()) {
-      return Status::InvalidArgument("corrupt DI payload");
-    }
-    for (auto& level : levels_) {
-      uint64_t blocks = 0;
-      if (!reader->Get(&blocks)) {
-        return Status::InvalidArgument("corrupt DI payload");
-      }
-      level.clear();
-      for (uint64_t i = 0; i < blocks; ++i) {
-        uint64_t begin = 0, end = 0;
-        double st = 0.0, et = 0.0;
-        if (!reader->Get(&begin) || !reader->Get(&end) ||
-            !reader->Get(&st) || !reader->Get(&et)) {
-          return Status::InvalidArgument("corrupt DI payload");
-        }
-        auto sketch = LoadSketch(reader, fd_scratch);
-        if (!sketch.ok()) return sketch.status();
-        level.push_back(Block(sketch.take(), begin, end, st, et));
-      }
-    }
-    // Cache state is never serialized: a reloaded sketch starts cold with
-    // a fresh structure version.
-    ++structure_version_;
-    ++mutation_version_;
-    InvalidateQueryCache();
-    metrics_.reloads->Add();
-    const size_t loaded = NumBlocks();
-    if (loaded != 0) {
-      metrics_.blocks_loaded->Add(loaded);
-      metrics_.live_blocks->Add(loaded);
-    }
-    return Status::OK();
-  }
-
-  /// Test hook: structural invariants — dyadic alignment and time order.
-  void CheckInvariants() const {
-    for (size_t li = 0; li < levels_.size(); ++li) {
-      const uint64_t span = 1ULL << li;
-      uint64_t prev_end = 0;
-      bool first = true;
-      for (const Block& blk : levels_[li]) {
-        SWSKETCH_CHECK_EQ(blk.l1_end - blk.l1_begin, span);
-        SWSKETCH_CHECK_EQ(blk.l1_begin % span, 0u);
-        if (!first) SWSKETCH_CHECK_EQ(blk.l1_begin, prev_end);
-        prev_end = blk.l1_end;
-        first = false;
-      }
-    }
-  }
-
- private:
   struct Active {
     SketchT sketch;
     double start_ts = 0.0;
@@ -484,9 +471,12 @@ class DyadicInterval : public SlidingWindowSketch {
           end_ts(et) {}
   };
 
-  static Result<SketchT> LoadSketch(
+  Result<SketchT> LoadSketch(
       ByteReader* reader, const std::shared_ptr<FdShrinkScratch>& fd_scratch) {
     auto sketch = SketchT::Deserialize(reader);
+    if (sketch.ok() && sketch->dim() != dim()) {
+      return Status::InvalidArgument("DI block dim mismatch");
+    }
     if constexpr (std::is_same_v<SketchT, FrequentDirections>) {
       if (sketch.ok() && fd_scratch) sketch->ShareShrinkScratch(fd_scratch);
     }
@@ -524,17 +514,18 @@ class DyadicInterval : public SlidingWindowSketch {
     cover_scratch_.clear();
     uint64_t p = j0;
     while (p < closed_l1_) {
-      size_t li = options_.levels - 1;
-      while (li > 0) {
+      // A reloaded payload's levels are not cross-checked, so a block the
+      // greedy choice wants may be missing: fall back to smaller spans,
+      // and end the cover where even level 1 has none.
+      const Block* blk = nullptr;
+      size_t li = options_.levels;
+      while (blk == nullptr && li-- > 0) {
         const uint64_t span = 1ULL << li;
-        if (p % span == 0 && p + span <= closed_l1_) break;
-        --li;
+        if (p % span == 0 && p + span <= closed_l1_) blk = FindBlock(li, p);
       }
-      const uint64_t span = 1ULL << li;
-      const Block* blk = FindBlock(li, p);
-      SWSKETCH_CHECK(blk != nullptr);
+      if (blk == nullptr) break;
       cover_scratch_.push_back(blk);
-      p += span;
+      p += 1ULL << li;
     }
     std::vector<Matrix> parts(cover_scratch_.size());
     ParallelFor(
@@ -543,7 +534,7 @@ class DyadicInterval : public SlidingWindowSketch {
         {.grain = 1});
     size_t total = 0;
     for (const Matrix& m : parts) total += m.rows();
-    Matrix b(0, dim_);
+    Matrix b(0, dim());
     b.ReserveRows(total);
     for (const Matrix& m : parts) {
       for (size_t r = 0; r < m.rows(); ++r) b.AppendRow(m.Row(r));
@@ -551,8 +542,8 @@ class DyadicInterval : public SlidingWindowSketch {
     return b;
   }
 
-  void Expire(double now) {
-    const double start = window_.Start(now);
+  void Expire(double now) override {
+    const double start = window().Start(now);
     for (auto& level : levels_) {
       while (!level.empty() && level.front().end_ts < start) {
         level.pop_front();
@@ -563,8 +554,6 @@ class DyadicInterval : public SlidingWindowSketch {
     }
   }
 
-  size_t dim_;
-  WindowSpec window_;
   DyadicIntervalOptions options_;
   LevelSketchFactory factory_;
   std::string name_;
@@ -575,14 +564,12 @@ class DyadicInterval : public SlidingWindowSketch {
   uint64_t level1_rows_ = 0;
   uint64_t closed_l1_ = 0;
   uint64_t next_id_ = 0;
-  double now_ = 0.0;
 
   std::vector<Active> actives_;              // One active block per level.
   std::vector<std::deque<Block>> levels_;    // Closed blocks, oldest first.
 
   // Query-cache state (never serialized; see DESIGN.md "Query path").
   uint64_t structure_version_ = 0;
-  uint64_t mutation_version_ = 0;  // Every Update/AdvanceTo/reload.
   std::vector<const Block*> cover_scratch_;  // Rebuilt on cover assembly.
   Memo<std::tuple<uint64_t, uint64_t>, Matrix> cover_memo_;
   Memo<std::tuple<uint64_t, uint64_t, uint64_t>, Matrix> result_memo_;
@@ -605,25 +592,25 @@ class DiFd : public DyadicInterval<FrequentDirections> {
     double fd_buffer_factor = 1.0;
   };
 
-  DiFd(size_t dim, Options options);
-
-  /// Cheap-construction path (core/factory.h SketchPrototype): shares
+  /// The cheap-construction path (core/factory.h SketchPrototype) passes
   /// pre-resolved metric handles and a caller-owned shrink workspace
-  /// instead of resolving/allocating its own per instance. A null
-  /// `scratch` falls back to a private workspace. Bit-identical behaviour
-  /// to the primary constructor (the workspace never influences results).
-  DiFd(size_t dim, Options options, const MetricSet& metrics,
-       std::shared_ptr<FdShrinkScratch> scratch);
+  /// instead of resolving/allocating them per instance. A null `scratch`
+  /// falls back to a private workspace. Bit-identical either way (the
+  /// workspace never influences results).
+  DiFd(size_t dim, Options options,
+       const MetricSet& metrics = MetricSet(MetricScope("di_fd")),
+       std::shared_ptr<FdShrinkScratch> scratch =
+           FrequentDirections::MakeShrinkScratch());
 
-  /// Checkpoint/resume of the full sliding-window state. The first
-  /// overload resolves its own metric handles and workspace; the second
-  /// reloads onto the cheap-construction path's shared ones.
+  /// Checkpoint/resume of the full sliding-window state, onto the given
+  /// (or its own) metric handles and workspace.
   static constexpr uint32_t kSerialTag = 0x44494601;
   void Serialize(ByteWriter* writer) const;
-  static Result<DiFd> Deserialize(ByteReader* reader);
-  static Result<DiFd> Deserialize(ByteReader* reader,
-                                  const MetricSet& metrics,
-                                  std::shared_ptr<FdShrinkScratch> scratch);
+  static Result<DiFd> Deserialize(
+      ByteReader* reader,
+      const MetricSet& metrics = MetricSet(MetricScope("di_fd")),
+      std::shared_ptr<FdShrinkScratch> scratch =
+          FrequentDirections::MakeShrinkScratch());
   Status SerializeTo(ByteWriter* writer) const override {
     Serialize(writer);
     return Status::OK();

@@ -7,6 +7,7 @@
 #define SWSKETCH_CORE_EXACT_WINDOW_H_
 
 #include <string>
+#include <vector>
 
 #include "core/sliding_window_sketch.h"
 #include "stream/window_buffer.h"
@@ -17,33 +18,25 @@ namespace swsketch {
 class ExactWindow : public SlidingWindowSketch {
  public:
   ExactWindow(size_t dim, WindowSpec window)
-      : dim_(dim), window_(window), buffer_(window) {}
-
-  void Update(std::span<const double> row, double ts) override;
-
-  /// Bit-identical to the serial loop (the buffer append commutes with
-  /// nothing); overridden only to skip per-row virtual dispatch and to
-  /// reserve the block up front.
-  void UpdateBatch(const Matrix& rows, std::span<const double> ts) override;
-
-  void AdvanceTo(double now) override { buffer_.AdvanceTo(now); }
+      : SlidingWindowSketch(dim, window), buffer_(window) {}
 
   /// Returns A_W itself (B = A => zero error).
   Matrix Query() override { return buffer_.ToMatrix(); }
 
   size_t RowsStored() const override { return buffer_.size(); }
-  size_t dim() const override { return dim_; }
   std::string name() const override { return "EXACT"; }
-  const WindowSpec& window() const override { return window_; }
 
   /// Exact covariance A_W^T A_W.
-  Matrix Covariance() const { return buffer_.GramMatrix(dim_); }
+  Matrix Covariance() const { return buffer_.GramMatrix(dim()); }
 
   const WindowBuffer& buffer() const { return buffer_; }
 
  private:
-  size_t dim_;
-  WindowSpec window_;
+  void Ingest(std::span<const double> row, double ts, double) override {
+    buffer_.Add(Row(std::vector<double>(row.begin(), row.end()), ts));
+  }
+  void Expire(double now) override { buffer_.AdvanceTo(now); }
+
   WindowBuffer buffer_;
 };
 

@@ -6,6 +6,7 @@
 #ifndef SWSKETCH_CORE_FROBENIUS_TRACKER_H_
 #define SWSKETCH_CORE_FROBENIUS_TRACKER_H_
 
+#include <cmath>
 #include <deque>
 #include <utility>
 #include <vector>
@@ -75,11 +76,13 @@ class FrobeniusTracker {
     writer->Put(exact_sum_);
   }
 
-  bool Deserialize(ByteReader* reader) {
+  /// Reloads state recorded no later than the owner's clock `now`.
+  bool Deserialize(ByteReader* reader, double now) {
     uint8_t mode = 0;
     std::vector<TsValue> flat;
-    if (!reader->Get(&mode) || !eh_.Deserialize(reader) ||
-        !reader->GetVector(&flat) || !reader->Get(&exact_sum_)) {
+    if (!reader->Get(&mode) || !eh_.Deserialize(reader, now) ||
+        !reader->GetVector(&flat) || !reader->Get(&exact_sum_) ||
+        !std::isfinite(exact_sum_)) {
       return false;
     }
     mode_ = mode == 0 ? Mode::kExponentialHistogram : Mode::kExact;

@@ -12,11 +12,6 @@ double ResolveCapacity(double requested, size_t ell) {
 
 }  // namespace
 
-LmFd::LmFd(size_t dim, WindowSpec window, Options options)
-    : LmFd(dim, window, options,
-           MetricSet(MetricScope(MetricScope::Slug("LM-FD"))),
-           FrequentDirections::MakeShrinkScratch()) {}
-
 LmFd::LmFd(size_t dim, WindowSpec window, Options options,
            const MetricSet& metrics,
            std::shared_ptr<FdShrinkScratch> scratch)
@@ -52,12 +47,6 @@ void LmFd::Serialize(ByteWriter* writer) const {
   SerializeCore(writer);
 }
 
-Result<LmFd> LmFd::Deserialize(ByteReader* reader) {
-  return Deserialize(reader,
-                     MetricSet(MetricScope(MetricScope::Slug("LM-FD"))),
-                     FrequentDirections::MakeShrinkScratch());
-}
-
 Result<LmFd> LmFd::Deserialize(ByteReader* reader, const MetricSet& metrics,
                                std::shared_ptr<FdShrinkScratch> scratch) {
   // Version 2: per-block FD buffer factor added (version-1 payloads
@@ -72,7 +61,8 @@ Result<LmFd> LmFd::Deserialize(ByteReader* reader, const MetricSet& metrics,
   if (!window.ok()) return window.status();
   if (!reader->Get(&ell) || !reader->Get(&b) || !reader->Get(&capacity) ||
       !reader->Get(&fd_factor) || ell < 2 || b < 2 ||
-      std::isnan(capacity) || !(fd_factor >= 1.0)) {
+      std::isnan(capacity) || !(fd_factor >= 1.0) ||
+      !LoadableSize(fd_factor * static_cast<double>(ell), dim)) {
     return Status::InvalidArgument("corrupt LmFd payload");
   }
   LmFd sketch(dim, *window,
@@ -83,10 +73,6 @@ Result<LmFd> LmFd::Deserialize(ByteReader* reader, const MetricSet& metrics,
   if (Status s = sketch.DeserializeCore(reader, scratch); !s.ok()) return s;
   return sketch;
 }
-
-LmHash::LmHash(size_t dim, WindowSpec window, Options options)
-    : LmHash(dim, window, options,
-             MetricSet(MetricScope(MetricScope::Slug("LM-HASH")))) {}
 
 LmHash::LmHash(size_t dim, WindowSpec window, Options options,
                const MetricSet& metrics)
@@ -113,11 +99,6 @@ void LmHash::Serialize(ByteWriter* writer) const {
   SerializeCore(writer);
 }
 
-Result<LmHash> LmHash::Deserialize(ByteReader* reader) {
-  return Deserialize(reader,
-                     MetricSet(MetricScope(MetricScope::Slug("LM-HASH"))));
-}
-
 Result<LmHash> LmHash::Deserialize(ByteReader* reader,
                                    const MetricSet& metrics) {
   if (!CheckHeader(reader, LmHash::kSerialTag, 1)) {
@@ -130,7 +111,7 @@ Result<LmHash> LmHash::Deserialize(ByteReader* reader,
   if (!window.ok()) return window.status();
   if (!reader->Get(&ell) || !reader->Get(&b) || !reader->Get(&capacity) ||
       !reader->Get(&seed) || ell == 0 || b < 2 ||
-      std::isnan(capacity)) {
+      std::isnan(capacity) || !LoadableSize(ell, dim)) {
     return Status::InvalidArgument("corrupt LmHash payload");
   }
   LmHash sketch(dim, *window,

@@ -149,8 +149,7 @@ class LogarithmicMethod : public SlidingWindowSketch {
   LogarithmicMethod(size_t dim, WindowSpec window,
                     LogarithmicMethodOptions options, SketchFactory factory,
                     std::string name, const MetricSet& metrics)
-      : dim_(dim),
-        window_(window),
+      : SlidingWindowSketch(dim, window),
         options_(options),
         factory_(std::move(factory)),
         name_(std::move(name)),
@@ -174,56 +173,10 @@ class LogarithmicMethod : public SlidingWindowSketch {
     }
   }
 
-  void Update(std::span<const double> row, double ts) override {
-    SWSKETCH_CHECK_EQ(row.size(), dim_);
-    SWSKETCH_CHECK_GE(ts, now_);
-    ++mutation_version_;
-    now_ = ts;
-    Expire(ts);
-
-    const double w = NormSq(row);
-    if (w <= 0.0) return;
-    metrics_.rows_ingested->Add();
-
-    // Algorithm 6.1 lines 4-6: insert into the active block.
-    if (active_.rows.empty()) active_.start = ts;
-    active_.rows.push_back(RawRow{
-        MakeSharedRow(std::vector<double>(row.begin(), row.end()), ts),
-        next_id_++});
-    active_.end = ts;
-    active_.mass += w;
-
-    // Lines 7-8: close the active block when full.
-    if (active_.mass > options_.block_capacity) {
-      CloseActiveBlock();
-      Cascade();
-    }
-  }
-
-  /// Replays the serial per-row schedule with the virtual dispatch hoisted
-  /// out of the loop (bit-identical). LM cannot defer more than that: the
-  /// active block's mass is a running float sum (adds on arrival, subtracts
-  /// on expiry) and block-close triggers compare it against the capacity,
-  /// so any reordering of the per-row add/expire interleaving could move a
-  /// close boundary and change the whole level structure downstream.
-  void UpdateBatch(const Matrix& rows, std::span<const double> ts) override {
-    SWSKETCH_CHECK_EQ(rows.rows(), ts.size());
-    for (size_t i = 0; i < rows.rows(); ++i) {
-      LogarithmicMethod::Update(rows.Row(i), ts[i]);
-    }
-  }
-
-  void AdvanceTo(double now) override {
-    SWSKETCH_CHECK_GE(now, now_);
-    ++mutation_version_;
-    now_ = now;
-    Expire(now);
-  }
-
   Matrix Query() override {
     metrics_.queries->Add();
-    Expire(now_);
-    const double start = window_.Start(now_);
+    Expire(now());
+    const double start = window().Start(now());
     // Live closed blocks in merge order (highest level first, oldest block
     // first within a level). The straddling block (start < window start
     // <= end) is excluded (Algorithm 6.2).
@@ -238,7 +191,7 @@ class LogarithmicMethod : public SlidingWindowSketch {
     // as a cache miss so hits + misses == queries stays exact.
     if (live_scratch_.empty() && active_.rows.empty()) {
       metrics_.query_cache_misses->Add();
-      return Matrix(0, dim_);
+      return Matrix(0, dim());
     }
 
     // Final-result cache: nothing changed since the last query (same
@@ -281,7 +234,7 @@ class LogarithmicMethod : public SlidingWindowSketch {
   /// Unlike structure_version(), this also moves on active-block appends
   /// and window advances (both feed Query directly), so wrappers can key
   /// result caches on it.
-  uint64_t StateVersion() const override { return mutation_version_; }
+  uint64_t StateVersion() const override { return mutations(); }
 
   size_t RowsStored() const override {
     size_t n = active_.rows.size();
@@ -291,9 +244,7 @@ class LogarithmicMethod : public SlidingWindowSketch {
     return n;
   }
 
-  size_t dim() const override { return dim_; }
   std::string name() const override { return name_; }
-  const WindowSpec& window() const override { return window_; }
 
   /// Number of levels currently in the structure (L in the paper).
   size_t NumLevels() const { return levels_.size(); }
@@ -308,7 +259,7 @@ class LogarithmicMethod : public SlidingWindowSketch {
   /// Closed blocks the next Query() merges: those starting inside the
   /// window (test hook).
   size_t NumLiveBlocks() const {
-    const double start = window_.Start(now_);
+    const double start = window().Start(now());
     size_t n = 0;
     for (const auto& level : levels_) {
       for (const Block& blk : level) n += blk.start >= start ? 1 : 0;
@@ -320,7 +271,7 @@ class LogarithmicMethod : public SlidingWindowSketch {
   /// concrete subclass serializes its own configuration first so that
   /// Deserialize can reconstruct the object before loading state.
   void SerializeCore(ByteWriter* writer) const {
-    writer->Put(now_);
+    writer->Put(now());
     writer->Put<uint64_t>(next_id_);
     writer->Put(active_.start);
     writer->Put(active_.end);
@@ -358,9 +309,11 @@ class LogarithmicMethod : public SlidingWindowSketch {
       metrics_.live_blocks->Add(-static_cast<int64_t>(overwritten));
     }
     uint64_t raw_rows = 0, num_levels = 0;
-    if (!reader->Get(&now_) || !reader->Get(&next_id_) ||
+    double now = 0.0;
+    if (!reader->Get(&now) || !Restore(now) || !reader->Get(&next_id_) ||
         !reader->Get(&active_.start) || !reader->Get(&active_.end) ||
-        !reader->Get(&active_.mass) || !reader->Get(&raw_rows)) {
+        !reader->Get(&active_.mass) || !reader->Get(&raw_rows) ||
+        !std::isfinite(active_.start + active_.end + active_.mass)) {
       return Status::InvalidArgument("corrupt LM payload");
     }
     active_.rows.clear();
@@ -369,14 +322,16 @@ class LogarithmicMethod : public SlidingWindowSketch {
       uint64_t id = 0;
       std::vector<double> values;
       if (!reader->Get(&ts) || !reader->Get(&id) ||
-          !reader->GetVector(&values) || values.size() != dim_) {
+          !reader->GetVector(&values) || values.size() != dim() ||
+          !std::isfinite(NormSq(values))) {
         return Status::InvalidArgument("corrupt LM payload");
       }
       active_.rows.push_back(RawRow{MakeSharedRow(std::move(values), ts), id});
     }
-    if (!reader->Get(&num_levels)) {
+    if (!reader->Get(&num_levels) || num_levels > reader->remaining() / 8) {
       return Status::InvalidArgument("corrupt LM payload");
     }
+    const SketchT proto = factory_();  // Every block must merge with it.
     levels_.clear();
     levels_.resize(num_levels);
     for (auto& level : levels_) {
@@ -387,27 +342,27 @@ class LogarithmicMethod : public SlidingWindowSketch {
       for (uint64_t i = 0; i < blocks; ++i) {
         double start = 0.0, end = 0.0, mass = 0.0;
         if (!reader->Get(&start) || !reader->Get(&end) ||
-            !reader->Get(&mass)) {
+            !reader->Get(&mass) || !std::isfinite(start + end + mass)) {
           return Status::InvalidArgument("corrupt LM payload");
         }
         auto sketch = SketchT::Deserialize(reader);
         if (!sketch.ok()) return sketch.status();
+        if (!sketch->MergeableWith(proto)) {
+          return Status::InvalidArgument("LM block does not match config");
+        }
         if (block_scratch) UseScratch(&*sketch, block_scratch);
         level.push_back(Block{sketch.take(), start, end, mass,
                               next_block_id_++});
+        // Counted as it joins, so a payload refused later settles it.
+        metrics_.blocks_loaded->Add();
+        metrics_.live_blocks->Add(1);
       }
     }
     // Cache state is never serialized: a reloaded sketch starts cold with
     // a fresh structure version.
     ++structure_version_;
-    ++mutation_version_;
     InvalidateQueryCache();
     metrics_.reloads->Add();
-    const size_t loaded = NumBlocks();
-    if (loaded != 0) {
-      metrics_.blocks_loaded->Add(loaded);
-      metrics_.live_blocks->Add(loaded);
-    }
     return Status::OK();
   }
 
@@ -431,6 +386,29 @@ class LogarithmicMethod : public SlidingWindowSketch {
   }
 
  private:
+  // Batches take the base's per-row loop, as LM cannot defer more: the
+  // active block's running mass decides every close, so reordering the
+  // per-row add/expire interleaving could change the whole level structure.
+  void Ingest(std::span<const double> row, double ts, double w) override {
+    Expire(ts);
+    if (w <= 0.0) return;
+    metrics_.rows_ingested->Add();
+
+    // Algorithm 6.1 lines 4-6: insert into the active block.
+    if (active_.rows.empty()) active_.start = ts;
+    active_.rows.push_back(RawRow{
+        MakeSharedRow(std::vector<double>(row.begin(), row.end()), ts),
+        next_id_++});
+    active_.end = ts;
+    active_.mass += w;
+
+    // Lines 7-8: close the active block when full.
+    if (active_.mass > options_.block_capacity) {
+      CloseActiveBlock();
+      Cascade();
+    }
+  }
+
   struct RawRow {
     SharedRow row;
     uint64_t id;
@@ -610,8 +588,8 @@ class LogarithmicMethod : public SlidingWindowSketch {
     }
   }
 
-  void Expire(double now) {
-    const double start = window_.Start(now);
+  void Expire(double now) override {
+    const double start = window().Start(now);
     // Fully expired blocks sit at the old end: the front of the highest
     // levels. Walk from the top level down.
     while (!levels_.empty()) {
@@ -652,8 +630,6 @@ class LogarithmicMethod : public SlidingWindowSketch {
     }
   }
 
-  size_t dim_;
-  WindowSpec window_;
   LogarithmicMethodOptions options_;
   SketchFactory factory_;
   std::string name_;
@@ -664,11 +640,9 @@ class LogarithmicMethod : public SlidingWindowSketch {
   std::vector<std::deque<Block>> levels_;
   ActiveBlock active_;
   uint64_t next_id_ = 0;
-  double now_ = 0.0;
 
   // Query-cache state (never serialized; see DESIGN.md "Query path").
   uint64_t structure_version_ = 0;
-  uint64_t mutation_version_ = 0;  // Every Update/AdvanceTo/reload.
   std::vector<const Block*> live_scratch_;  // Rebuilt by every Query().
   uint64_t next_block_id_ = 0;  // Runtime identity only; never serialized.
   std::unique_ptr<MergeTree> tree_;  // Built by the first merged-blocks miss.
@@ -693,27 +667,26 @@ class LmFd : public LogarithmicMethod<FrequentDirections> {
     double fd_buffer_factor = 1.0;
   };
 
-  LmFd(size_t dim, WindowSpec window, Options options);
-
-  /// Cheap-construction path (core/factory.h SketchPrototype): shares
+  /// The cheap-construction path (core/factory.h SketchPrototype) passes
   /// pre-resolved metric handles and a caller-owned shrink workspace
-  /// instead of resolving/allocating its own per instance. A null
-  /// `scratch` falls back to a private workspace. Bit-identical behaviour
-  /// to the primary constructor (the workspace never influences results).
+  /// instead of resolving/allocating them per instance. A null `scratch`
+  /// falls back to a private workspace. Bit-identical either way (the
+  /// workspace never influences results).
   LmFd(size_t dim, WindowSpec window, Options options,
-       const MetricSet& metrics, std::shared_ptr<FdShrinkScratch> scratch);
+       const MetricSet& metrics = MetricSet(MetricScope("lm_fd")),
+       std::shared_ptr<FdShrinkScratch> scratch =
+           FrequentDirections::MakeShrinkScratch());
 
-  /// Checkpoint/resume of the full sliding-window state. The first
-  /// overload resolves its own metric handles and workspace; the second
-  /// reloads onto the cheap-construction path's shared ones, and every
-  /// reloaded block shares `scratch` exactly like a block this instance
-  /// closes.
+  /// Checkpoint/resume of the full sliding-window state, onto the given
+  /// (or its own) metric handles and workspace: every reloaded block
+  /// shares `scratch` exactly like a block this instance closes.
   static constexpr uint32_t kSerialTag = 0x4C4D4601;
   void Serialize(ByteWriter* writer) const;
-  static Result<LmFd> Deserialize(ByteReader* reader);
-  static Result<LmFd> Deserialize(ByteReader* reader,
-                                  const MetricSet& metrics,
-                                  std::shared_ptr<FdShrinkScratch> scratch);
+  static Result<LmFd> Deserialize(
+      ByteReader* reader,
+      const MetricSet& metrics = MetricSet(MetricScope("lm_fd")),
+      std::shared_ptr<FdShrinkScratch> scratch =
+          FrequentDirections::MakeShrinkScratch());
   Status SerializeTo(ByteWriter* writer) const override {
     Serialize(writer);
     return Status::OK();
@@ -733,20 +706,17 @@ class LmHash : public LogarithmicMethod<HashSketch> {
     uint64_t seed = 1;        // Shared hash seed (mergeability).
   };
 
-  LmHash(size_t dim, WindowSpec window, Options options);
-
-  /// Cheap-construction path (core/factory.h SketchPrototype): shares
-  /// pre-resolved metric handles instead of resolving its own.
+  /// The cheap-construction path (core/factory.h SketchPrototype) passes
+  /// pre-resolved metric handles.
   LmHash(size_t dim, WindowSpec window, Options options,
-         const MetricSet& metrics);
+         const MetricSet& metrics = MetricSet(MetricScope("lm_hash")));
 
-  /// Checkpoint/resume of the full sliding-window state; the second
-  /// overload reloads onto pre-resolved metric handles.
+  /// Checkpoint/resume of the full sliding-window state.
   static constexpr uint32_t kSerialTag = 0x4C4D4801;
   void Serialize(ByteWriter* writer) const;
-  static Result<LmHash> Deserialize(ByteReader* reader);
-  static Result<LmHash> Deserialize(ByteReader* reader,
-                                    const MetricSet& metrics);
+  static Result<LmHash> Deserialize(
+      ByteReader* reader,
+      const MetricSet& metrics = MetricSet(MetricScope("lm_hash")));
   Status SerializeTo(ByteWriter* writer) const override {
     Serialize(writer);
     return Status::OK();

@@ -40,8 +40,7 @@ struct SworMetrics {
 }  // namespace
 
 SworSketch::SworSketch(size_t dim, WindowSpec window, Options options)
-    : dim_(dim),
-      window_(window),
+    : SlidingWindowSketch(dim, window),
       options_(options),
       rng_(options.seed),
       frobenius_(options.exact_frobenius
@@ -51,13 +50,8 @@ SworSketch::SworSketch(size_t dim, WindowSpec window, Options options)
   SWSKETCH_CHECK_GT(options_.ell, 0u);
 }
 
-void SworSketch::Update(std::span<const double> row, double ts) {
-  SWSKETCH_CHECK_EQ(row.size(), dim_);
-  SWSKETCH_CHECK_GE(ts, now_);
-  now_ = ts;
+void SworSketch::Ingest(std::span<const double> row, double ts, double w) {
   Expire(ts);
-
-  const double w = NormSq(row);
   if (w <= 0.0) return;
   frobenius_.Add(w, ts);
 
@@ -83,14 +77,8 @@ void SworSketch::Update(std::span<const double> row, double ts) {
       MakeSharedRow(std::vector<double>(row.begin(), row.end()), ts), lp, 1});
 }
 
-void SworSketch::AdvanceTo(double now) {
-  SWSKETCH_CHECK_GE(now, now_);
-  now_ = now;
-  Expire(now);
-}
-
 void SworSketch::Expire(double now) {
-  const double start = window_.Start(now);
+  const double start = window().Start(now);
   uint64_t expired = 0;
   while (!queue_.empty() && queue_.front().row->ts < start) {
     queue_.pop_front();
@@ -105,10 +93,10 @@ void SworSketch::Expire(double now) {
 
 Matrix SworSketch::Query() {
   SworMetrics::Get(options_.query_mode == QueryMode::kAll).queries->Add();
-  Expire(now_);
-  const double start = window_.Start(now_);
+  Expire(now());
+  const double start = window().Start(now());
   const double frob_sq = frobenius_.Estimate(start);
-  Matrix b(0, dim_);
+  Matrix b(0, dim());
   if (frob_sq <= 0.0 || queue_.empty()) return b;
 
   std::vector<const Candidate*> selected;
@@ -150,15 +138,15 @@ Matrix SworSketch::Query() {
 
 void SworSketch::Serialize(ByteWriter* writer) const {
   WriteHeader(writer, SworSketch::kSerialTag, 1);
-  writer->Put<uint64_t>(dim_);
-  window_.Serialize(writer);
+  writer->Put<uint64_t>(dim());
+  window().Serialize(writer);
   writer->Put<uint64_t>(options_.ell);
   writer->Put<uint8_t>(options_.query_mode == QueryMode::kAll ? 1 : 0);
   writer->Put(options_.frobenius_eps);
   writer->Put<uint8_t>(options_.exact_frobenius ? 1 : 0);
   writer->Put<uint64_t>(options_.seed);
   rng_.Serialize(writer);
-  writer->Put(now_);
+  writer->Put(now());
   frobenius_.Serialize(writer);
   writer->Put<uint64_t>(queue_.size());
   for (const auto& c : queue_) {
@@ -184,7 +172,8 @@ Result<SworSketch> SworSketch::Deserialize(ByteReader* reader) {
   uint8_t all = 0, exact = 0;
   if (!reader->Get(&ell) || !reader->Get(&all) ||
       !reader->Get(&options.frobenius_eps) || !reader->Get(&exact) ||
-      !reader->Get(&seed) || ell == 0) {
+      !reader->Get(&seed) || ell == 0 ||
+      !(options.frobenius_eps > 0.0 && options.frobenius_eps < 1.0)) {
     return Status::InvalidArgument("corrupt SworSketch payload");
   }
   options.ell = ell;
@@ -193,8 +182,10 @@ Result<SworSketch> SworSketch::Deserialize(ByteReader* reader) {
   options.seed = seed;
   SworSketch sketch(dim, *window, options);
   uint64_t n = 0;
-  if (!sketch.rng_.Deserialize(reader) || !reader->Get(&sketch.now_) ||
-      !sketch.frobenius_.Deserialize(reader) || !reader->Get(&n)) {
+  double now = 0.0;
+  if (!sketch.rng_.Deserialize(reader) || !reader->Get(&now) ||
+      !sketch.Restore(now) || !sketch.frobenius_.Deserialize(reader, now) ||
+      !reader->Get(&n)) {
     return Status::InvalidArgument("corrupt SworSketch payload");
   }
   for (uint64_t i = 0; i < n; ++i) {
@@ -204,7 +195,8 @@ Result<SworSketch> SworSketch::Deserialize(ByteReader* reader) {
     std::vector<double> values;
     if (!reader->Get(&c.log_priority) || !reader->Get(&rank) ||
         !reader->Get(&ts) || !reader->GetVector(&values) ||
-        values.size() != dim || rank == 0 || rank > ell) {
+        values.size() != dim || rank == 0 || rank > ell ||
+        !std::isfinite(NormSq(values))) {
       return Status::InvalidArgument("corrupt SworSketch payload");
     }
     c.rank = rank;

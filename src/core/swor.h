@@ -42,16 +42,11 @@ class SworSketch : public SlidingWindowSketch {
 
   SworSketch(size_t dim, WindowSpec window, Options options);
 
-  void Update(std::span<const double> row, double ts) override;
-
-  void AdvanceTo(double now) override;
   Matrix Query() override;
   size_t RowsStored() const override { return queue_.size(); }
-  size_t dim() const override { return dim_; }
   std::string name() const override {
     return options_.query_mode == QueryMode::kAll ? "SWOR-ALL" : "SWOR";
   }
-  const WindowSpec& window() const override { return window_; }
 
   size_t AuxiliarySize() const { return frobenius_.AuxiliarySize(); }
 
@@ -71,15 +66,14 @@ class SworSketch : public SlidingWindowSketch {
     size_t rank;  // Priority rank within [row->ts, now], 1-based.
   };
 
-  void Expire(double now);
+  void Ingest(std::span<const double> row, double ts,
+              double norm_sq) override;
+  void Expire(double now) override;
 
-  size_t dim_;
-  WindowSpec window_;
   Options options_;
   Rng rng_;
   std::deque<Candidate> queue_;
   FrobeniusTracker frobenius_;
-  double now_ = 0.0;
 };
 
 }  // namespace swsketch

@@ -35,8 +35,7 @@ struct SwrMetrics {
 }  // namespace
 
 SwrSketch::SwrSketch(size_t dim, WindowSpec window, Options options)
-    : dim_(dim),
-      window_(window),
+    : SlidingWindowSketch(dim, window),
       options_(options),
       rng_(options.seed),
       chains_(options.ell),
@@ -47,13 +46,8 @@ SwrSketch::SwrSketch(size_t dim, WindowSpec window, Options options)
   SWSKETCH_CHECK_GT(options_.ell, 0u);
 }
 
-void SwrSketch::Update(std::span<const double> row, double ts) {
-  SWSKETCH_CHECK_EQ(row.size(), dim_);
-  SWSKETCH_CHECK_GE(ts, now_);
-  now_ = ts;
+void SwrSketch::Ingest(std::span<const double> row, double ts, double w) {
   Expire(ts);
-
-  const double w = NormSq(row);
   if (w <= 0.0) return;  // Zero rows carry no weight (and are disallowed in
                          // sequence windows, Section 1).
   frobenius_.Add(w, ts);
@@ -76,14 +70,8 @@ void SwrSketch::Update(std::span<const double> row, double ts) {
   if (replaced != 0) metrics.replacements->Add(replaced);
 }
 
-void SwrSketch::AdvanceTo(double now) {
-  SWSKETCH_CHECK_GE(now, now_);
-  now_ = now;
-  Expire(now);
-}
-
 void SwrSketch::Expire(double now) {
-  const double start = window_.Start(now);
+  const double start = window().Start(now);
   uint64_t expired = 0;
   for (auto& chain : chains_) {
     while (!chain.empty() && chain.front().row->ts < start) {
@@ -97,10 +85,10 @@ void SwrSketch::Expire(double now) {
 
 Matrix SwrSketch::Query() {
   SwrMetrics::Get().queries->Add();
-  Expire(now_);
-  const double start = window_.Start(now_);
+  Expire(now());
+  const double start = window().Start(now());
   const double frob_sq = frobenius_.Estimate(start);
-  Matrix b(0, dim_);
+  Matrix b(0, dim());
   if (frob_sq <= 0.0) return b;
   const double frob = std::sqrt(frob_sq);
   const double ell = static_cast<double>(chains_.size());
@@ -130,7 +118,7 @@ size_t SwrSketch::UniqueRowsStored() const {
 }
 
 std::vector<std::optional<SwrSketch::ChainSample>> SwrSketch::ChainSamples() {
-  Expire(now_);
+  Expire(now());
   std::vector<std::optional<ChainSample>> out;
   out.reserve(chains_.size());
   for (const auto& chain : chains_) {
@@ -145,20 +133,20 @@ std::vector<std::optional<SwrSketch::ChainSample>> SwrSketch::ChainSamples() {
 }
 
 double SwrSketch::FrobeniusSqEstimate() {
-  Expire(now_);
-  return frobenius_.Estimate(window_.Start(now_));
+  Expire(now());
+  return frobenius_.Estimate(window().Start(now()));
 }
 
 void SwrSketch::Serialize(ByteWriter* writer) const {
   WriteHeader(writer, SwrSketch::kSerialTag, 1);
-  writer->Put<uint64_t>(dim_);
-  window_.Serialize(writer);
+  writer->Put<uint64_t>(dim());
+  window().Serialize(writer);
   writer->Put<uint64_t>(options_.ell);
   writer->Put(options_.frobenius_eps);
   writer->Put<uint8_t>(options_.exact_frobenius ? 1 : 0);
   writer->Put<uint64_t>(options_.seed);
   rng_.Serialize(writer);
-  writer->Put(now_);
+  writer->Put(now());
   frobenius_.Serialize(writer);
   writer->Put<uint64_t>(chains_.size());
   for (const auto& chain : chains_) {
@@ -184,8 +172,11 @@ Result<SwrSketch> SwrSketch::Deserialize(ByteReader* reader) {
   Options options;
   uint64_t ell = 0, seed = 0;
   uint8_t exact = 0;
+  // Every chain stores at least its 8-byte length, which bounds ell.
   if (!reader->Get(&ell) || !reader->Get(&options.frobenius_eps) ||
-      !reader->Get(&exact) || !reader->Get(&seed) || ell == 0) {
+      !reader->Get(&exact) || !reader->Get(&seed) || ell == 0 ||
+      ell > reader->remaining() / 8 ||
+      !(options.frobenius_eps > 0.0 && options.frobenius_eps < 1.0)) {
     return Status::InvalidArgument("corrupt SwrSketch payload");
   }
   options.ell = ell;
@@ -193,9 +184,10 @@ Result<SwrSketch> SwrSketch::Deserialize(ByteReader* reader) {
   options.seed = seed;
   SwrSketch sketch(dim, *window, options);
   uint64_t num_chains = 0;
-  if (!sketch.rng_.Deserialize(reader) || !reader->Get(&sketch.now_) ||
-      !sketch.frobenius_.Deserialize(reader) || !reader->Get(&num_chains) ||
-      num_chains != ell) {
+  double now = 0.0;
+  if (!sketch.rng_.Deserialize(reader) || !reader->Get(&now) ||
+      !sketch.Restore(now) || !sketch.frobenius_.Deserialize(reader, now) ||
+      !reader->Get(&num_chains) || num_chains != ell) {
     return Status::InvalidArgument("corrupt SwrSketch payload");
   }
   for (auto& chain : sketch.chains_) {
@@ -210,7 +202,7 @@ Result<SwrSketch> SwrSketch::Deserialize(ByteReader* reader) {
       std::vector<double> values;
       if (!reader->Get(&c.log_priority) || !reader->Get(&ts) ||
           !reader->GetVector(&values) || values.size() != dim ||
-          c.log_priority >= prev) {
+          c.log_priority >= prev || !std::isfinite(NormSq(values))) {
         return Status::InvalidArgument("corrupt SwrSketch payload");
       }
       prev = c.log_priority;

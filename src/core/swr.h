@@ -45,14 +45,9 @@ class SwrSketch : public SlidingWindowSketch {
 
   SwrSketch(size_t dim, WindowSpec window, Options options);
 
-  void Update(std::span<const double> row, double ts) override;
-
-  void AdvanceTo(double now) override;
   Matrix Query() override;
   size_t RowsStored() const override;
-  size_t dim() const override { return dim_; }
   std::string name() const override { return "SWR"; }
-  const WindowSpec& window() const override { return window_; }
 
   /// Number of distinct rows currently referenced (shared storage).
   size_t UniqueRowsStored() const;
@@ -92,15 +87,14 @@ class SwrSketch : public SlidingWindowSketch {
     double log_priority;
   };
 
-  void Expire(double now);
+  void Ingest(std::span<const double> row, double ts,
+              double norm_sq) override;
+  void Expire(double now) override;
 
-  size_t dim_;
-  WindowSpec window_;
   Options options_;
   Rng rng_;
   std::vector<std::deque<Candidate>> chains_;
   FrobeniusTracker frobenius_;
-  double now_ = 0.0;
 };
 
 }  // namespace swsketch

@@ -15,11 +15,11 @@ WindowPca::WindowPca(std::unique_ptr<SlidingWindowSketch> sketch)
   SWSKETCH_CHECK(sketch_ != nullptr);
 }
 
-void WindowPca::Update(std::span<const double> row, double ts) {
-  sketch_->Update(row, ts);
+Status WindowPca::Update(std::span<const double> row, double ts) {
+  return sketch_->Update(row, ts);
 }
 
-void WindowPca::AdvanceTo(double now) { sketch_->AdvanceTo(now); }
+Status WindowPca::AdvanceTo(double now) { return sketch_->AdvanceTo(now); }
 
 PcaResult WindowPca::Principal(size_t k) {
   const size_t d = sketch_->dim();
@@ -67,8 +67,8 @@ PcaChangeDetector::PcaChangeDetector(
   SWSKETCH_CHECK_GT(options_.k, 0u);
 }
 
-void PcaChangeDetector::Update(std::span<const double> row, double ts) {
-  pca_.Update(row, ts);
+Status PcaChangeDetector::Update(std::span<const double> row, double ts) {
+  return pca_.Update(row, ts);
 }
 
 void PcaChangeDetector::FreezeReference() {

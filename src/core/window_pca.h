@@ -28,9 +28,10 @@ class WindowPca {
   /// Takes ownership of the sketch.
   explicit WindowPca(std::unique_ptr<SlidingWindowSketch> sketch);
 
-  /// Forwards a stream row to the underlying sketch.
-  void Update(std::span<const double> row, double ts);
-  void AdvanceTo(double now);
+  /// Forwards a stream row (clock move) to the underlying sketch and
+  /// returns its admission Status.
+  Status Update(std::span<const double> row, double ts);
+  Status AdvanceTo(double now);
 
   /// Top-k principal components of the current window approximation.
   PcaResult Principal(size_t k);
@@ -63,7 +64,7 @@ class PcaChangeDetector {
   PcaChangeDetector(std::unique_ptr<SlidingWindowSketch> sketch,
                     Options options);
 
-  void Update(std::span<const double> row, double ts);
+  Status Update(std::span<const double> row, double ts);
 
   /// Captures the current window's basis as the reference distribution.
   void FreezeReference();

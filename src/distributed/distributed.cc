@@ -32,16 +32,20 @@ DistributedSwr::DistributedSwr(std::vector<SwrSketch*> workers)
   }
 }
 
-void DistributedSwr::Update(size_t worker_index, std::span<const double> row,
-                            double ts) {
+Status DistributedSwr::Update(size_t worker_index,
+                              std::span<const double> row, double ts) {
   // The index is caller-controlled routing, not a trusted invariant, and
   // folding ts into now_ is what lets Query() serve the current window
   // without an explicit AdvanceTo heartbeat (it advances every worker to
   // the max timestamp seen, expiring rows the union window has dropped).
-  SWSKETCH_CHECK_LT(worker_index, workers_.size());
+  if (worker_index >= workers_.size()) {
+    return Status::InvalidArgument("worker index out of range");
+  }
+  Status st = workers_[worker_index]->Update(row, ts);
+  if (!st.ok()) return st;
   now_ = std::max(now_, ts);
   SwrUpdatesCounter()->Add();
-  workers_[worker_index]->Update(row, ts);
+  return st;
 }
 
 void DistributedSwr::AdvanceTo(double now) {

@@ -28,7 +28,9 @@ class DistributedSwr {
   explicit DistributedSwr(std::vector<SwrSketch*> workers);
 
   /// Routes a row to worker `worker_index` (the caller's partitioning).
-  void Update(size_t worker_index, std::span<const double> row, double ts);
+  /// InvalidArgument for an index past the last worker, else the worker's
+  /// admission Status; a rejected row leaves every clock unchanged.
+  Status Update(size_t worker_index, std::span<const double> row, double ts);
 
   /// Moves every worker's window forward (e.g. on coordinator heartbeat).
   void AdvanceTo(double now);

@@ -1,5 +1,6 @@
 #include "distributed/sharded_sketch.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/logging.h"
@@ -7,10 +8,10 @@
 namespace swsketch {
 namespace {
 
-size_t CheckedDim(
+const SlidingWindowSketch& FirstShard(
     const std::vector<std::unique_ptr<SlidingWindowSketch>>& shards) {
   SWSKETCH_CHECK_GT(shards.size(), 0u);
-  return shards[0]->dim();
+  return *shards[0];
 }
 
 }  // namespace
@@ -18,8 +19,8 @@ size_t CheckedDim(
 ShardedSketch::ShardedSketch(
     std::vector<std::unique_ptr<SlidingWindowSketch>> shards,
     QueryReduceSpec reduce, Options options)
-    : dim_(CheckedDim(shards)),
-      window_(shards[0]->window()),
+    : SlidingWindowSketch(FirstShard(shards).dim(),
+                          FirstShard(shards).window()),
       reduce_(reduce),
       options_(options),
       name_("SHARDED-" + shards[0]->name()),
@@ -28,9 +29,11 @@ ShardedSketch::ShardedSketch(
   options_.shards = shards.size();
   const MetricScope scope(MetricScope::Slug(name_));
   shards_.reserve(shards.size());
+  double now = 0.0;  // The global clock starts at the newest shard's.
   for (size_t i = 0; i < shards.size(); ++i) {
-    SWSKETCH_CHECK_EQ(shards[i]->dim(), dim_);
-    auto shard = std::make_unique<Shard>(std::move(shards[i]), dim_,
+    SWSKETCH_CHECK_EQ(shards[i]->dim(), dim());
+    now = std::max(now, shards[i]->now());
+    auto shard = std::make_unique<Shard>(std::move(shards[i]), dim(),
                                          options_.queue_blocks);
     const std::string suffix = std::to_string(i);
     shard->rows_in = scope.counter("shard_rows." + suffix);
@@ -38,6 +41,7 @@ ShardedSketch::ShardedSketch(
     shard->occupancy = scope.gauge("occupancy." + suffix);
     shards_.push_back(std::move(shard));
   }
+  set_now(now);
   if (options_.parallel) {
     for (auto& shard : shards_) {
       Shard* s = shard.get();
@@ -82,11 +86,7 @@ uint64_t ShardedSketch::ShardSeed(uint64_t seed, size_t shard) {
   return z ^ (z >> 31);
 }
 
-void ShardedSketch::Update(std::span<const double> row, double ts) {
-  SWSKETCH_CHECK_EQ(row.size(), dim_);
-  SWSKETCH_CHECK_GE(ts, now_);
-  ++mutation_seq_;
-  now_ = ts;
+void ShardedSketch::Ingest(std::span<const double> row, double ts, double) {
   metrics_.rows_ingested->Add();
   Shard* shard = shards_[rr_].get();
   rr_ = rr_ + 1 == shards_.size() ? 0 : rr_ + 1;
@@ -99,22 +99,17 @@ void ShardedSketch::Update(std::span<const double> row, double ts) {
   if (shard->staged.rows() >= options_.block_rows) FlushStaged(shard);
 }
 
-void ShardedSketch::UpdateBatch(const Matrix& rows,
-                                std::span<const double> ts) {
-  SWSKETCH_CHECK_EQ(rows.rows(), ts.size());
-  if (rows.rows() == 0) return;
-  SWSKETCH_CHECK_EQ(rows.cols(), dim_);
+void ShardedSketch::IngestBatch(const Matrix& rows,
+                                std::span<const double> ts,
+                                std::span<const double> norms_sq) {
   // The round-robin split re-blocks rows per shard anyway, so the batch
-  // entry point is just the row loop with the dispatch inlined.
+  // step is just the row loop with the dispatch inlined.
   for (size_t i = 0; i < rows.rows(); ++i) {
-    ShardedSketch::Update(rows.Row(i), ts[i]);
+    ShardedSketch::Ingest(rows.Row(i), ts[i], norms_sq[i]);
   }
 }
 
-void ShardedSketch::AdvanceTo(double now) {
-  SWSKETCH_CHECK_GE(now, now_);
-  ++mutation_seq_;
-  now_ = now;
+void ShardedSketch::Expire(double now) {
   metrics_.advances->Add();
   for (auto& shard : shards_) {
     // Staged rows must land before the advance: their timestamps precede
@@ -130,36 +125,36 @@ void ShardedSketch::AdvanceTo(double now) {
 Matrix ShardedSketch::Query() {
   metrics_.queries->Add();
   return result_memo_.Get(
-      mutation_seq_, metrics_.query_cache_hits, metrics_.query_cache_misses,
+      mutations(), metrics_.query_cache_hits, metrics_.query_cache_misses,
       [this] {
         // Align the shards: staged rows out, then every shard advanced to
         // the global high-water timestamp so expiry matches the logical
         // window (a shard that happened to receive no recent rows would
         // otherwise still hold rows the logical window has expired).
         // Alignment is idempotent and not a logical mutation, so it does
-        // not bump mutation_seq_.
+        // not count as one.
         for (auto& shard : shards_) {
           FlushStaged(shard.get());
           Command cmd;
           cmd.kind = Command::kAdvance;
-          cmd.now = now_;
+          cmd.now = now();
           Dispatch(shard.get(), std::move(cmd));
         }
         Quiesce();
 
-        Matrix out(0, dim_);
+        Matrix out(0, dim());
         {
           ScopedTimer timer(metrics_.query_reduce_ns);
           // Writers are quiescent, so the pool tasks have exclusive use of
           // their shard; each writes only parts[i] (ParallelFor
           // determinism contract), and the reduce tree's pair order is
           // fixed by the shard count.
-          std::vector<Matrix> parts(shards_.size(), Matrix(0, dim_));
+          std::vector<Matrix> parts(shards_.size(), Matrix(0, dim()));
           ParallelFor(
               shards_.size(),
               [&](size_t i) { parts[i] = shards_[i]->sketch->Query(); },
               {.grain = 1, .pool = options_.reduce_pool});
-          out = TreeReduceQueries(reduce_, dim_, std::move(parts),
+          out = TreeReduceQueries(reduce_, dim(), std::move(parts),
                                   options_.reduce_pool);
         }
         if (shards_.size() > 1) {
@@ -196,7 +191,7 @@ void ShardedSketch::FlushStaged(Shard* shard) {
   cmd.kind = Command::kRows;
   cmd.rows = std::move(shard->staged);
   cmd.ts = std::move(shard->staged_ts);
-  shard->staged = Matrix(0, dim_);
+  shard->staged = Matrix(0, dim());
   shard->staged_ts.clear();
   metrics_.blocks_enqueued->Add();
   Dispatch(shard, std::move(cmd));
@@ -215,10 +210,11 @@ void ShardedSketch::Dispatch(Shard* shard, Command cmd) {
 void ShardedSketch::ApplyCommand(Shard* shard, Command* cmd) {
   if (cmd->kind == Command::kRows) {
     ScopedTimer timer(metrics_.block_apply_ns);
-    shard->sketch->UpdateBatch(cmd->rows, cmd->ts);
+    // Admitted at the coordinator, whose clock no shard's runs ahead of.
+    PassedOn(shard->sketch->UpdateBatch(cmd->rows, cmd->ts));
     metrics_.blocks_applied->Add();
   } else {
-    shard->sketch->AdvanceTo(cmd->now);
+    PassedOn(shard->sketch->AdvanceTo(cmd->now));
   }
   const uint64_t stored = shard->sketch->RowsStored();
   shard->stored.store(stored, std::memory_order_relaxed);

@@ -101,10 +101,6 @@ class ShardedSketch : public SlidingWindowSketch {
   /// writers. No row passed to Update is ever dropped.
   ~ShardedSketch() override;
 
-  void Update(std::span<const double> row, double ts) override;
-  void UpdateBatch(const Matrix& rows, std::span<const double> ts) override;
-  void AdvanceTo(double now) override;
-
   /// Flush + align + quiesce + tree-reduce. Cached: repeated queries with
   /// no intervening mutation return the cached matrix without touching the
   /// shards.
@@ -114,7 +110,7 @@ class ShardedSketch : public SlidingWindowSketch {
   /// queue. Afterwards Query()/RowsStored() observe all ingested rows.
   void Flush() override;
 
-  uint64_t StateVersion() const override { return mutation_seq_; }
+  uint64_t StateVersion() const override { return mutations(); }
 
   /// Staged rows plus each shard's last-published stored-row count. Never
   /// blocks (the harness samples it on the hot path): writers publish
@@ -122,17 +118,13 @@ class ShardedSketch : public SlidingWindowSketch {
   /// Flush()/Query() and at most one queue of blocks stale mid-flight.
   size_t RowsStored() const override;
 
-  size_t dim() const override { return dim_; }
   std::string name() const override { return name_; }
-  const WindowSpec& window() const override { return window_; }
 
-  size_t num_shards() const { return shards_.size(); }
 
   /// Read access to a quiesced shard (test hook). Call Flush() first;
   /// unsynchronized access to an active shard is a data race.
   const SlidingWindowSketch& shard(size_t i) const;
 
-  const QueryReduceSpec& reduce_spec() const { return reduce_; }
 
  private:
   /// One queue item: a row block or a window advance. FIFO per shard, so
@@ -198,6 +190,13 @@ class ShardedSketch : public SlidingWindowSketch {
     Histogram* query_reduce_ns;
   };
 
+  // Rows reach the steps admitted: the coordinator checks every row before
+  // it is staged, so writer shards never see a bad one.
+  void Ingest(std::span<const double> row, double ts,
+              double norm_sq) override;
+  void IngestBatch(const Matrix& rows, std::span<const double> ts,
+                   std::span<const double> norms_sq) override;
+  void Expire(double now) override;
   void FlushStaged(Shard* shard);
   void Dispatch(Shard* shard, Command cmd);
   void ApplyCommand(Shard* shard, Command* cmd);
@@ -205,17 +204,13 @@ class ShardedSketch : public SlidingWindowSketch {
   void Quiesce() const;
   void WriterLoop(Shard* shard);
 
-  size_t dim_;
-  WindowSpec window_;
   QueryReduceSpec reduce_;
   Options options_;
   std::string name_;
   MetricSet metrics_;
   std::vector<std::unique_ptr<Shard>> shards_;
   size_t rr_ = 0;          // Next shard in the round-robin rotation.
-  double now_ = 0.0;       // Global high-water timestamp.
-  uint64_t mutation_seq_ = 0;
-  Memo<uint64_t, Matrix> result_memo_;  // Keyed by mutation_seq_.
+  Memo<uint64_t, Matrix> result_memo_;  // Keyed by StateVersion().
 };
 
 }  // namespace swsketch

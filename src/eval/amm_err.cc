@@ -22,23 +22,6 @@ double AmmError(const Matrix& exact_product, double frob_a_sq,
   return SpectralNorm(diff) / std::sqrt(frob_a_sq * frob_b_sq);
 }
 
-double AmmErrorDense(const Matrix& a, const Matrix& b,
-                     const Matrix& estimate) {
-  SWSKETCH_CHECK_EQ(a.rows(), b.rows());
-  Matrix product(a.cols(), b.cols());
-  for (size_t r = 0; r < a.rows(); ++r) {
-    const auto ra = a.Row(r);
-    const auto rb = b.Row(r);
-    for (size_t i = 0; i < a.cols(); ++i) {
-      const double left = ra[i];
-      if (left == 0.0) continue;
-      for (size_t j = 0; j < b.cols(); ++j) product(i, j) += left * rb[j];
-    }
-  }
-  return AmmError(product, a.FrobeniusNormSq(), b.FrobeniusNormSq(),
-                  estimate);
-}
-
 double AmmErrorBound(size_t ell, double frob_a_sq, double frob_b_sq,
                      double slack) {
   SWSKETCH_CHECK_GT(ell, 0u);

@@ -20,11 +20,6 @@ namespace swsketch {
 double AmmError(const Matrix& exact_product, double frob_a_sq,
                 double frob_b_sq, const Matrix& estimate);
 
-/// amm-err between two explicit operand matrices and an estimate
-/// (test/diagnostic form); rows of `a` and `b` are paired by index.
-double AmmErrorDense(const Matrix& a, const Matrix& b,
-                     const Matrix& estimate);
-
 /// The co-sketch guarantee: an FD sketch of the stacked matrix M = [A | B]
 /// at ell rows bounds the product error by the covariance bound on M,
 ///   ||A^T B - P||_2 <= ||M^T M - C^T C||_2 <= ||M||_F^2 / (ell - k),

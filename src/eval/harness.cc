@@ -32,8 +32,7 @@ struct HarnessMetrics {
 };
 
 // Evaluates one mature checkpoint (exact Gram + per-sketch Query/error,
-// optionally on the pool) and appends a Checkpoint per sketch. Shared by
-// the per-row and batched ingest paths so both produce identical records.
+// optionally on the pool) and appends a Checkpoint per sketch.
 void EvalCheckpoint(std::span<SlidingWindowSketch* const> sketches,
                     const HarnessOptions& options, const WindowBuffer& buffer,
                     size_t dim, size_t row_index, double ts,
@@ -125,104 +124,67 @@ std::vector<HarnessResult> RunMany(RowStream* stream,
     }
   };
 
-  if (options.batch_rows > 1) {
-    // Batched ingest: pull blocks straight from the stream via NextBatch
-    // (loaders like CSV parse directly into the block) and hand each sketch
-    // one UpdateBatch per block. Pulls are capped at the next checkpoint
-    // index, so a checkpoint always observes exactly the rows up to it —
-    // checkpoint records match the per-row path block-for-block.
-    Matrix block(0, dim);
-    block.ReserveRows(options.batch_rows);
-    std::vector<double> block_ts;
-    for (;;) {
-      size_t want = options.batch_rows;
-      if (next_ckpt < ckpt_indices.size()) {
-        want = std::min(want, ckpt_indices[next_ckpt] - row_index + 1);
-      }
-      const size_t got = stream->NextBatch(want, &block, &block_ts);
-      if (got == 0) break;
-      if (!have_first) {
-        first_ts = block_ts[0];
-        have_first = true;
-      }
-      const auto ingest_one = [&](size_t s) {
-        if (options.measure_update_time) {
-          Timer t;
-          sketches[s]->UpdateBatch(block, block_ts);
-          costs[s].AddSpanning(t.ElapsedNanos(), static_cast<int64_t>(got));
-        } else {
-          sketches[s]->UpdateBatch(block, block_ts);
-        }
-      };
-      if (options.parallel_ingest) {
-        ParallelFor(sketches.size(), ingest_one,
-                    {.grain = 1, .pool = options.pool});
-      } else {
-        for (size_t s = 0; s < sketches.size(); ++s) ingest_one(s);
-      }
-      for (size_t i = 0; i < got; ++i) {
-        const auto row = block.Row(i);
-        buffer.Add(Row(std::vector<double>(row.begin(), row.end()),
-                       block_ts[i]));
-      }
-      for (size_t s = 0; s < sketches.size(); ++s) {
-        results[s].max_rows_stored =
-            std::max(results[s].max_rows_stored, sketches[s]->RowsStored());
-      }
-      row_index += got;
-      maybe_query(got);
-      const double ts = block_ts[got - 1];
-      if (next_ckpt < ckpt_indices.size() &&
-          row_index - 1 == ckpt_indices[next_ckpt]) {
-        ++next_ckpt;
-        const bool mature =
-            window.type() == WindowType::kSequence
-                ? buffer.size() >= static_cast<size_t>(window.extent())
-                : (ts - first_ts) >= window.extent();
-        if (mature && !buffer.empty()) {
-          EvalCheckpoint(sketches, options, buffer, dim, row_index - 1, ts,
-                         &results);
-        }
-      }
+  // Pull blocks straight from the stream via NextBatch (loaders like CSV
+  // parse directly into the block) and hand each sketch one UpdateBatch
+  // per block, or one Update per row when batch_rows <= 1. Pulls are capped
+  // at the next checkpoint index, so a checkpoint always observes exactly
+  // the rows up to it: the records match block for block whatever the
+  // block size.
+  const size_t block_rows = std::max<size_t>(options.batch_rows, 1);
+  Matrix block(0, dim);
+  block.ReserveRows(block_rows);
+  std::vector<double> block_ts;
+  for (;;) {
+    size_t want = block_rows;
+    if (next_ckpt < ckpt_indices.size()) {
+      want = std::min(want, ckpt_indices[next_ckpt] - row_index + 1);
     }
-  } else {
-    while (auto row = stream->Next()) {
-      if (!have_first) {
-        first_ts = row->ts;
-        have_first = true;
+    const size_t got = stream->NextBatch(want, &block, &block_ts);
+    if (got == 0) break;
+    if (!have_first) {
+      first_ts = block_ts[0];
+      have_first = true;
+    }
+    const auto ingest_one = [&](size_t s) {
+      const Timer t;
+      const Status st = block_rows == 1
+                            ? sketches[s]->Update(block.Row(0), block_ts[0])
+                            : sketches[s]->UpdateBatch(block, block_ts);
+      if (options.measure_update_time) {
+        costs[s].AddSpanning(t.ElapsedNanos(), static_cast<int64_t>(got));
       }
-      for (size_t s = 0; s < sketches.size(); ++s) {
-        if (options.measure_update_time) {
-          Timer t;
-          sketches[s]->Update(row->view(), row->ts);
-          costs[s].Add(t.ElapsedNanos());
-        } else {
-          sketches[s]->Update(row->view(), row->ts);
-        }
+      if (!st.ok() && results[s].status.ok()) results[s].status = st;
+    };
+    if (options.parallel_ingest && block_rows > 1) {
+      ParallelFor(sketches.size(), ingest_one,
+                  {.grain = 1, .pool = options.pool});
+    } else {
+      for (size_t s = 0; s < sketches.size(); ++s) ingest_one(s);
+    }
+    for (size_t i = 0; i < got; ++i) {
+      const auto row = block.Row(i);
+      buffer.Add(Row(std::vector<double>(row.begin(), row.end()),
+                     block_ts[i]));
+    }
+    for (size_t s = 0; s < sketches.size(); ++s) {
+      results[s].max_rows_stored =
+          std::max(results[s].max_rows_stored, sketches[s]->RowsStored());
+    }
+    row_index += got;
+    maybe_query(got);
+    const double ts = block_ts[got - 1];
+    if (next_ckpt < ckpt_indices.size() &&
+        row_index - 1 == ckpt_indices[next_ckpt]) {
+      ++next_ckpt;
+      // Window maturity: a full sequence window, or a full time span.
+      const bool mature =
+          window.type() == WindowType::kSequence
+              ? buffer.size() >= static_cast<size_t>(window.extent())
+              : (ts - first_ts) >= window.extent();
+      if (mature && !buffer.empty()) {
+        EvalCheckpoint(sketches, options, buffer, dim, row_index - 1, ts,
+                       &results);
       }
-      buffer.Add(*row);
-      maybe_query(1);
-
-      for (size_t s = 0; s < sketches.size(); ++s) {
-        results[s].max_rows_stored =
-            std::max(results[s].max_rows_stored, sketches[s]->RowsStored());
-      }
-
-      const bool at_ckpt = next_ckpt < ckpt_indices.size() &&
-                           row_index == ckpt_indices[next_ckpt];
-      if (at_ckpt) {
-        ++next_ckpt;
-        // Window maturity: a full sequence window, or a full time span.
-        const bool mature =
-            window.type() == WindowType::kSequence
-                ? buffer.size() >= static_cast<size_t>(window.extent())
-                : (row->ts - first_ts) >= window.extent();
-        if (mature && !buffer.empty()) {
-          EvalCheckpoint(sketches, options, buffer, dim, row_index, row->ts,
-                         &results);
-        }
-      }
-      ++row_index;
     }
   }
 

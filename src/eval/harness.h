@@ -14,6 +14,7 @@
 #include "stream/row_stream.h"
 #include "stream/window.h"
 #include "util/parallel.h"
+#include "util/status.h"
 
 namespace swsketch {
 
@@ -34,11 +35,10 @@ struct HarnessOptions {
   /// the results are bit-identical to a serial run for deterministic
   /// sketches.
   bool parallel_checkpoints = true;
-  /// Rows fed per UpdateBatch call. 1 keeps the legacy per-row Update path
-  /// untouched; > 1 buffers the stream into blocks of this many rows (cut
-  /// early at checkpoints so every checkpoint still sees exactly the rows
-  /// up to its index) and ingests each block with one UpdateBatch per
-  /// sketch. With batching, avg_update_ns is total ingest time over rows
+  /// Rows fed per UpdateBatch call. 1 feeds each row through Update; > 1
+  /// buffers the stream into blocks of this many rows (cut early at
+  /// checkpoints so every checkpoint still sees exactly the rows up to its
+  /// index) and ingests each block with one UpdateBatch per sketch. With batching, avg_update_ns is total ingest time over rows
   /// and max_rows_stored is sampled at block boundaries rather than per
   /// row (transient within-block peaks are not observed).
   size_t batch_rows = 1;
@@ -82,6 +82,9 @@ struct HarnessResult {
   size_t max_rows_stored = 0;
   double avg_update_ns = 0.0;
   size_t rows_processed = 0;
+  /// OK, or the first rejection the sketch returned for a stream row or
+  /// block (the run goes on; that input is simply not in the sketch).
+  Status status;
 };
 
 /// Runs `stream` through `sketch` (both borrowed) and measures quality at

@@ -38,11 +38,9 @@ class TenantArena {
 
   /// Slot stride after alignment rounding.
   size_t slot_bytes() const { return slot_bytes_; }
-  size_t num_chunks() const { return chunks_.size(); }
   size_t reserved_bytes() const {
     return chunks_.size() * slots_per_chunk_ * slot_bytes_;
   }
-  size_t live_slots() const { return live_slots_; }
 
  private:
   size_t slot_bytes_;  // Rounded up to a multiple of slot_align_.
@@ -75,9 +73,6 @@ class SpillRegion {
   void Free(uint32_t record);
 
   size_t live_bytes() const { return live_bytes_; }
-  size_t live_records() const { return live_count_; }
-  /// Current buffer footprint (live + not-yet-compacted dead bytes).
-  size_t buffer_bytes() const { return buffer_.size(); }
   size_t compactions() const { return compactions_; }
 
  private:

@@ -1,6 +1,8 @@
 #include "service/tenant_manager.h"
 
 #include <cstring>
+#include <limits>
+#include <string>
 #include <utility>
 
 #include "util/logging.h"
@@ -17,6 +19,17 @@ constexpr uint64_t kTenantFixedBytes = 160;
 constexpr uint64_t kPerRowBytes = 48;
 
 constexpr size_t kInitialTableSize = 1024;  // Power of two.
+
+// Refusals count in the "service." rejection ledger (a tenant's own also in
+// "sketch."). Tenant clocks are only known at the tenant, so rows are
+// checked against -inf here: shape, finiteness and a NaN timestamp.
+constexpr double kAnyClock = -std::numeric_limits<double>::infinity();
+
+// Counts a tenant's refusal of `key`'s input under `reason` and names it.
+Status TenantRefused(const Status& st, uint64_t key, const char* reason) {
+  MetricScope("service").counter(reason)->Add();
+  return st.Annotate("tenant " + std::to_string(key) + ": ");
+}
 
 // splitmix64 finalizer: full-avalanche mix for the open-addressing probe,
 // so dense/sequential tenant keys spread uniformly.
@@ -262,14 +275,16 @@ void TenantManager::SyncStorageGauges() {
 
 Status TenantManager::Update(uint64_t key, std::span<const double> row,
                              double ts) {
-  if (row.size() != dim_) {
-    return Status::InvalidArgument("row has " + std::to_string(row.size()) +
-                                   " values, manager dim is " +
-                                   std::to_string(dim_));
+  if (Status st =
+          AdmitRow(row.size(), NormSq(row), ts, dim_, kAnyClock, "service");
+      !st.ok()) {
+    return st;
   }
   const uint32_t slot = FindOrCreateSlot(key);
   if (Status st = EnsureResident(slot); !st.ok()) return st;
-  tenants_[slot].sketch->Update(row, ts);
+  if (Status st = tenants_[slot].sketch->Update(row, ts); !st.ok()) {
+    return TenantRefused(st, key, "rows_rejected.ts_order");
+  }
   metrics_.rows_ingested->Add(1);
   Touch(slot);
   Recharge(slot);
@@ -280,19 +295,23 @@ Status TenantManager::Update(uint64_t key, std::span<const double> row,
 Status TenantManager::UpdateKeyed(std::span<const KeyedRow> rows) {
   if (rows.empty()) return Status::OK();
   metrics_.keyed_batches->Add(1);
-  // Pass 1: resolve each row's tenant slot once, assigning group ids in
+  // Pass 1: the shared row check, before any tenant is touched or created,
+  // so a malformed row rejects the whole batch.
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const KeyedRow& r = rows[i];
+    if (Status st = AdmitRow(r.values.size(), NormSq(r.values), r.ts, dim_,
+                             kAnyClock, "service");
+        !st.ok()) {
+      return st.Annotate("keyed row " + std::to_string(i) + ": ");
+    }
+  }
+  // Pass 2: resolve each row's tenant slot once, assigning group ids in
   // first-touch order. slot_group_epoch_ makes the slot -> group map
   // batch-local without clearing it between batches.
   ++group_epoch_;
   groups_.clear();
   row_group_.resize(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i].values.size() != dim_) {
-      return Status::InvalidArgument(
-          "keyed row " + std::to_string(i) + " has " +
-          std::to_string(rows[i].values.size()) + " values, manager dim is " +
-          std::to_string(dim_));
-    }
     const uint32_t slot = FindOrCreateSlot(rows[i].key);
     if (slot >= slot_group_.size()) {
       slot_group_.resize(tenants_.size(), 0);
@@ -320,10 +339,12 @@ Status TenantManager::UpdateKeyed(std::span<const KeyedRow> rows) {
     Group& g = groups_[row_group_[i]];
     grouped_rows_[g.offset++] = static_cast<uint32_t>(i);
   }
-  // Pass 2: one UpdateBatch per tenant. g.offset now points one past the
+  // Pass 3: one UpdateBatch per tenant. g.offset now points one past the
   // group's rows (it served as the scatter cursor); the start is
   // offset - count. Budget enforcement is deferred to the end of the
-  // batch so no group's tenant is evicted mid-flight.
+  // batch so no group's tenant is evicted mid-flight. A tenant that
+  // refuses its group (a timestamp before its clock) stops the batch:
+  // earlier groups stay applied, the refused group and later ones are not.
   for (const Group& g : groups_) {
     if (Status st = EnsureResident(g.slot); !st.ok()) return st;
     const uint32_t start = g.offset - g.count;
@@ -335,7 +356,12 @@ Status TenantManager::UpdateKeyed(std::span<const KeyedRow> rows) {
                   dim_ * sizeof(double));
       group_ts_[j] = kr.ts;
     }
-    tenants_[g.slot].sketch->UpdateBatch(group_rows_, group_ts_);
+    if (Status st = tenants_[g.slot].sketch->UpdateBatch(group_rows_,
+                                                          group_ts_);
+        !st.ok()) {
+      EnforceBudget();
+      return TenantRefused(st, tenants_[g.slot].key, "rows_rejected.ts_order");
+    }
     metrics_.rows_ingested->Add(g.count);
     Touch(g.slot);
     Recharge(g.slot);
@@ -351,9 +377,14 @@ Status TenantManager::CreateTenant(uint64_t key) {
 }
 
 Status TenantManager::AdvanceTo(uint64_t key, double now) {
+  if (Status st = AdmitAdvance(now, kAnyClock, "service"); !st.ok()) {
+    return st;
+  }
   const uint32_t slot = FindOrCreateSlot(key);
   if (Status st = EnsureResident(slot); !st.ok()) return st;
-  tenants_[slot].sketch->AdvanceTo(now);
+  if (Status st = tenants_[slot].sketch->AdvanceTo(now); !st.ok()) {
+    return TenantRefused(st, key, "advances_rejected");
+  }
   Touch(slot);
   Recharge(slot);
   EnforceBudget();

@@ -92,20 +92,26 @@ class TenantManager {
   TenantManager& operator=(const TenantManager&) = delete;
 
   /// Single-row ingest (the naive per-row path: one lookup + one virtual
-  /// dispatch + bookkeeping per row). Creates the tenant on first touch.
+  /// dispatch + bookkeeping per row). Creates the tenant on first touch;
+  /// a row the admission rule refuses creates none.
   Status Update(uint64_t key, std::span<const double> row, double ts);
 
   /// Keyed batch fast path: groups `rows` by tenant and forwards each
-  /// group through UpdateBatch. Timestamps must be non-decreasing per key
-  /// (continuing from that tenant's previous rows). Creates tenants on
-  /// first touch.
+  /// group through UpdateBatch. Every row is first checked for shape and
+  /// finiteness: one malformed row rejects the whole batch before any
+  /// tenant is touched or created. Timestamps must be non-decreasing per
+  /// key (continuing from that tenant's previous rows); a tenant that
+  /// refuses its group rejects that group whole and returns a Status
+  /// naming the key. Earlier groups stay applied, later ones are not.
+  /// Creates tenants on first touch.
   Status UpdateKeyed(std::span<const KeyedRow> rows);
 
   /// Pre-provisions a tenant without feeding rows (idempotent). Exposed
   /// for warm-up flows and the creation-cost benchmark.
   Status CreateTenant(uint64_t key);
 
-  /// Advances one tenant's window clock without an arrival.
+  /// Advances one tenant's window clock without an arrival; OutOfRange
+  /// (from the tenant) for a move backwards.
   Status AdvanceTo(uint64_t key, double now);
 
   /// Approximation for the tenant's current window; an empty 0 x dim

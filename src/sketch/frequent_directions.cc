@@ -67,7 +67,9 @@ FrequentDirections::FrequentDirections(size_t dim, Options options)
 FrequentDirections::FrequentDirections(size_t dim, Options options, Matrix b)
     : dim_(dim), options_(options), b_(std::move(b)) {
   SWSKETCH_CHECK_GE(options_.ell, 2u);
-  SWSKETCH_CHECK_GE(options_.buffer_factor, 1.0);
+  // Keeps the capacity cast below defined: a finite, bounded row count.
+  SWSKETCH_CHECK(options_.buffer_factor >= 1.0 &&
+                 LoadableSize(options_.buffer_factor * options_.ell, 1.0));
   shrink_rank_ = options_.shrink_rank == 0 ? (options_.ell + 1) / 2
                                            : options_.shrink_rank;
   SWSKETCH_CHECK_GE(shrink_rank_, 1u);
@@ -242,8 +244,7 @@ void FrequentDirections::Rebuild(size_t rank, size_t max_rows) {
 
 void FrequentDirections::MergeWith(const FrequentDirections& other) {
   FdMetrics::Get().merges->Add();
-  SWSKETCH_CHECK_EQ(dim_, other.dim_);
-  SWSKETCH_CHECK_EQ(options_.ell, other.options_.ell);
+  SWSKETCH_CHECK(MergeableWith(other));
 
   // Stack the other sketch's rows onto this buffer in place (the reserve
   // keeps row spans valid even when other == this), then shrink back with
@@ -290,7 +291,8 @@ Result<FrequentDirections> FrequentDirections::Deserialize(
     return Status::InvalidArgument("corrupt FrequentDirections payload");
   }
   if (ell < 2 || shrink_opt > ell || shrink_resolved < 1 ||
-      shrink_resolved > ell || !(buffer_factor >= 1.0)) {
+      shrink_resolved > ell || !(buffer_factor >= 1.0) ||
+      !LoadableSize(buffer_factor * static_cast<double>(ell), dim)) {
     return Status::InvalidArgument("invalid FrequentDirections config");
   }
   auto b = Matrix::Deserialize(reader);
@@ -301,7 +303,9 @@ Result<FrequentDirections> FrequentDirections::Deserialize(
                                 .buffer_factor = buffer_factor},
                         b.take());
   if (!reader->Get(&fd.shed_mass_) || !reader->Get(&fd.input_mass_) ||
-      fd.b_.rows() > fd.capacity_ || fd.b_.cols() != dim) {
+      fd.b_.rows() > fd.capacity_ || fd.b_.cols() != dim ||
+      !std::isfinite(fd.b_.FrobeniusNormSq() + fd.shed_mass_ +
+                     fd.input_mass_)) {
     return Status::InvalidArgument("corrupt FrequentDirections payload");
   }
   fd.shrink_rank_ = shrink_resolved;

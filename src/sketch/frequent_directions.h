@@ -117,6 +117,10 @@ class FrequentDirections : public MatrixSketch {
   /// sigma_{ell+1}^2 so the merged size is at most ell. Requires matching
   /// dim and ell. Works in place on this sketch's buffer.
   void MergeWith(const FrequentDirections& other);
+  /// Whether MergeWith(other) is defined: same dimension and ell.
+  bool MergeableWith(const FrequentDirections& other) const {
+    return dim_ == other.dim_ && options_.ell == other.options_.ell;
+  }
 
   /// Forces a shrink now (exposed for tests).
   void ShrinkNow();

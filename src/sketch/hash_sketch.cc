@@ -1,5 +1,7 @@
 #include "sketch/hash_sketch.h"
 
+#include <cmath>
+
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -74,9 +76,7 @@ void HashSketch::AppendSparse(const SparseVector& row, uint64_t id) {
 }
 
 void HashSketch::MergeWith(const HashSketch& other) {
-  SWSKETCH_CHECK_EQ(dim_, other.dim_);
-  SWSKETCH_CHECK_EQ(b_.rows(), other.b_.rows());
-  SWSKETCH_CHECK_EQ(seed_, other.seed_);
+  SWSKETCH_CHECK(MergeableWith(other));
   b_.AddScaled(other.b_, 1.0);
 }
 
@@ -101,7 +101,8 @@ Result<HashSketch> HashSketch::Deserialize(ByteReader* reader) {
   }
   auto b = Matrix::Deserialize(reader);
   if (!b.ok()) return b.status();
-  if (b->cols() != dim || b->rows() == 0) {
+  if (b->cols() != dim || b->rows() == 0 ||
+      !std::isfinite(b->FrobeniusNormSq())) {
     return Status::InvalidArgument("corrupt HashSketch payload");
   }
   HashSketch hs(dim, b->rows(), seed);

@@ -67,6 +67,10 @@ class HashSketch : public MatrixSketch {
 
   /// this += other. Requires matching dim, ell and seed.
   void MergeWith(const HashSketch& other);
+  /// Whether MergeWith(other) is defined: same shape and hash seed.
+  bool MergeableWith(const HashSketch& other) const {
+    return dim_ == other.dim_ && ell() == other.ell() && seed_ == other.seed_;
+  }
 
   /// Checkpoint/resume: the hash family is rebuilt from the seed.
   void Serialize(ByteWriter* writer) const;

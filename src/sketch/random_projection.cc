@@ -82,8 +82,7 @@ void RandomProjection::AppendSparse(const SparseVector& row, uint64_t) {
 }
 
 void RandomProjection::MergeWith(const RandomProjection& other) {
-  SWSKETCH_CHECK_EQ(dim_, other.dim_);
-  SWSKETCH_CHECK_EQ(b_.rows(), other.b_.rows());
+  SWSKETCH_CHECK(MergeableWith(other));
   b_.AddScaled(other.b_, 1.0);
 }
 
@@ -112,7 +111,8 @@ Result<RandomProjection> RandomProjection::Deserialize(ByteReader* reader) {
   }
   auto b = Matrix::Deserialize(reader);
   if (!b.ok()) return b.status();
-  if (b->cols() != dim || b->rows() == 0) {
+  if (b->cols() != dim || b->rows() == 0 ||
+      !std::isfinite(b->FrobeniusNormSq())) {
     return Status::InvalidArgument("corrupt RandomProjection payload");
   }
   RandomProjection rp(dim, b->rows(), 0);

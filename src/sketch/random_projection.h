@@ -47,6 +47,10 @@ class RandomProjection : public MatrixSketch {
 
   /// Adds the other's projection into this one; shapes must match.
   void MergeWith(const RandomProjection& other);
+  /// Whether MergeWith(other) is defined: same shape.
+  bool MergeableWith(const RandomProjection& other) const {
+    return dim_ == other.dim_ && ell() == other.ell();
+  }
 
   /// Checkpoint/resume: includes the sign-generator state so the resumed
   /// sketch continues the exact same projection.

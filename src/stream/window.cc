@@ -1,5 +1,6 @@
 #include "stream/window.h"
 
+#include <cmath>
 #include <sstream>
 
 #include "util/logging.h"
@@ -45,8 +46,10 @@ void WindowSpec::Serialize(ByteWriter* writer) const {
 Result<WindowSpec> WindowSpec::Deserialize(ByteReader* reader) {
   uint8_t type = 0;
   double extent = 0.0;
+  // Finite and positive; a sequence extent must cast to a count >= 1.
   if (!reader->Get(&type) || !reader->Get(&extent) || type > 1 ||
-      extent <= 0.0) {
+      !(extent > 0.0) || !std::isfinite(extent) ||
+      (type == 0 && !(extent >= 1.0 && extent < 0x1p63))) {
     return Status::InvalidArgument("corrupt WindowSpec payload");
   }
   return type == 0 ? WindowSpec::Sequence(static_cast<uint64_t>(extent))

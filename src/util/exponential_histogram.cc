@@ -90,10 +90,6 @@ void ExponentialHistogram::EvictBefore(double window_start) {
   }
 }
 
-double ExponentialHistogram::OldestSuffixSum() const {
-  return boundaries_.empty() ? 0.0 : boundaries_.front().suffix_sum;
-}
-
 void ExponentialHistogram::Serialize(ByteWriter* writer) const {
   writer->Put(eps_);
   writer->Put(last_ts_);
@@ -108,10 +104,10 @@ void ExponentialHistogram::Serialize(ByteWriter* writer) const {
   }
 }
 
-bool ExponentialHistogram::Deserialize(ByteReader* reader) {
+bool ExponentialHistogram::Deserialize(ByteReader* reader, double now) {
   uint64_t n = 0;
   if (!reader->Get(&eps_) || !reader->Get(&last_ts_) || !reader->Get(&n) ||
-      !(eps_ > 0.0 && eps_ < 1.0)) {
+      !(eps_ > 0.0 && eps_ < 1.0) || !(last_ts_ <= now)) {
     return false;
   }
   boundaries_.clear();

@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <deque>
+#include <limits>
 
 #include "util/serialize.h"
 
@@ -46,15 +47,13 @@ class ExponentialHistogram {
   /// Number of stored suffix boundaries (the sketch's space usage).
   size_t NumBuckets() const { return boundaries_.size(); }
 
-  /// Total sum of everything ever added after the last eviction horizon
-  /// (the oldest retained suffix).
-  double OldestSuffixSum() const;
-
   double eps() const { return eps_; }
 
-  /// Checkpoint/resume support.
+  /// Checkpoint/resume support. Deserialize refuses a payload whose last
+  /// arrival is after the owner's clock `now` (the next Add would fail).
   void Serialize(ByteWriter* writer) const;
-  bool Deserialize(ByteReader* reader);
+  bool Deserialize(ByteReader* reader,
+                   double now = std::numeric_limits<double>::infinity());
 
  private:
   struct Boundary {

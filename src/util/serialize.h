@@ -104,7 +104,7 @@ class ByteReader {
 
   bool ok() const { return ok_; }
   bool AtEnd() const { return ok_ && pos_ == bytes_.size(); }
-  size_t position() const { return pos_; }
+  size_t remaining() const { return ok_ ? bytes_.size() - pos_ : 0; }
 
   Status StatusOrCorrupt(const std::string& what) const {
     return ok_ ? Status::OK()
@@ -116,6 +116,13 @@ class ByteReader {
   size_t pos_ = 0;
   bool ok_ = true;
 };
+
+/// Whether a reloaded configuration may make a sketch allocate rows x cols
+/// doubles: at most 2^24 (128 MiB), and never NaN. Larger payload configs
+/// are refused rather than allocated.
+inline bool LoadableSize(double rows, double cols) {
+  return rows * cols <= 16777216.0;
+}
 
 /// Reads and checks a (tag, version) header; returns false on mismatch.
 inline bool CheckHeader(ByteReader* reader, uint32_t expected_tag,

@@ -50,19 +50,28 @@ class Status {
   StatusCode code() const { return code_; }
   const std::string& message() const { return message_; }
 
+  /// The same code with `prefix` put before the message.
+  Status Annotate(const std::string& prefix) const {
+    return Status(code_, prefix + message_);
+  }
+
+  /// The code's name ("InvalidArgument", ...).
+  const char* CodeName() const {
+    switch (code_) {
+      case StatusCode::kOk: return "OK";
+      case StatusCode::kInvalidArgument: return "InvalidArgument";
+      case StatusCode::kFailedPrecondition: return "FailedPrecondition";
+      case StatusCode::kOutOfRange: return "OutOfRange";
+      case StatusCode::kInternal: return "Internal";
+      case StatusCode::kNotFound: return "NotFound";
+      case StatusCode::kUnimplemented: return "Unimplemented";
+    }
+    return "Unknown";
+  }
+
   std::string ToString() const {
     if (ok()) return "OK";
-    std::string name;
-    switch (code_) {
-      case StatusCode::kOk: name = "OK"; break;
-      case StatusCode::kInvalidArgument: name = "InvalidArgument"; break;
-      case StatusCode::kFailedPrecondition: name = "FailedPrecondition"; break;
-      case StatusCode::kOutOfRange: name = "OutOfRange"; break;
-      case StatusCode::kInternal: name = "Internal"; break;
-      case StatusCode::kNotFound: name = "NotFound"; break;
-      case StatusCode::kUnimplemented: name = "Unimplemented"; break;
-    }
-    return name + ": " + message_;
+    return std::string(CodeName()) + ": " + message_;
   }
 
  private:

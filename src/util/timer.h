@@ -49,7 +49,6 @@ class CostAccumulator {
     count_ += events;
   }
 
-  int64_t total_nanos() const { return total_nanos_; }
   int64_t count() const { return count_; }
 
   /// Average nanoseconds per recorded event (0 when empty).

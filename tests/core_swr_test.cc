@@ -164,8 +164,11 @@ TEST(SwrSketchTest, RejectsOutOfOrderTimestamps) {
   SwrSketch sketch(2, WindowSpec::Sequence(10),
                    SwrSketch::Options{.ell = 2, .seed = 17});
   std::vector<double> r{1.0, 0.0};
-  sketch.Update(r, 5.0);
-  EXPECT_DEATH(sketch.Update(r, 4.0), "");
+  ASSERT_TRUE(sketch.Update(r, 5.0).ok());
+  const size_t stored = sketch.RowsStored();
+  EXPECT_EQ(sketch.Update(r, 4.0).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(sketch.RowsStored(), stored);
+  EXPECT_EQ(sketch.now(), 5.0);
 }
 
 }  // namespace

@@ -98,12 +98,14 @@ TEST(DistributedSwrTest, HeavyWorkerDominatesSampling) {
 
 TEST(DistributedSwrTest, UpdateRejectsOutOfRangeWorkerIndex) {
   // Routing indices are caller data, not a trusted invariant; an
-  // out-of-range worker must trip the bounds check, not scribble memory.
+  // out-of-range worker must be refused, not scribble memory.
   SwrSketch a(4, WindowSpec::Sequence(10), SwrSketch::Options{.ell = 4});
   std::vector<SwrSketch*> ptrs{&a};
   DistributedSwr coordinator(ptrs);
   std::vector<double> row{1.0, 0.0, 0.0, 0.0};
-  EXPECT_DEATH(coordinator.Update(1, row, 0.0), "");
+  EXPECT_EQ(coordinator.Update(1, row, 0.0).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(coordinator.RowsStored(), 0u);
 }
 
 TEST(DistributedSwrTest, TimestampFoldingServesCurrentWindow) {

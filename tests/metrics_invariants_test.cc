@@ -15,7 +15,9 @@
 //     while only snapshot-mode instances mutate;
 //   - samplers: every priority draw is conserved as a live candidate, a
 //     replacement eviction, or a front expiry;
-//   - window buffer gauges mirror the buffer's actual footprint.
+//   - window buffer gauges mirror the buffer's actual footprint;
+//   - rejection ledgers: every refused call counts once under its reason
+//     and moves no rows_ingested.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -420,6 +422,117 @@ TEST(MetricsInvariantsTest, ConcurrentSnapshotPerMutation) {
                 (C("concurrent.snapshot_ctors") - ctor0));
   EXPECT_EQ(C("concurrent.mutations") - mut0, 151u);  // 150 updates + advance.
   EXPECT_GT(C("concurrent.reader_copies") - readers0, 0u);
+}
+
+// Rejection ledger: every refused call counts exactly once under its
+// reason in "sketch.", and moves no backend's rows_ingested. Checked after
+// every op of a seeded mix of good and bad calls on each backend family.
+TEST(MetricsInvariantsTest, RejectionLedgerCountsEveryRefusedCall) {
+  const std::vector<std::string> reasons = {
+      "sketch.rows_rejected.dim", "sketch.rows_rejected.non_finite",
+      "sketch.rows_rejected.ts_order", "sketch.advances_rejected"};
+  const std::vector<std::pair<std::string, std::string>> backends = {
+      {"swr", "swr.rows_ingested"},     {"swor", "swor.rows_ingested"},
+      {"lm-fd", "lm_fd.rows_ingested"}, {"di-fd", "di_fd.rows_ingested"},
+      {"ds-fd", "ds_fd.rows_ingested"}, {"amm-exact", "amm.pairs_ingested"}};
+  const size_t d = 6;
+  for (const auto& [algorithm, ingested] : backends) {
+    SCOPED_TRACE(algorithm);
+    SketchConfig config;
+    config.algorithm = algorithm;
+    config.ell = 4;
+    auto made = MakeSlidingWindowSketch(d, WindowSpec::Sequence(64), config);
+    ASSERT_TRUE(made.ok());
+    SlidingWindowSketch& sketch = **made;
+    std::vector<uint64_t> base, want(reasons.size(), 0);
+    for (const std::string& r : reasons) base.push_back(C(r));
+    Rng rng(21);
+    const auto row = [&](double bad) {
+      std::vector<double> r(d);
+      for (double& v : r) v = rng.Gaussian();
+      if (bad != 0.0) r[rng.UniformInt(d)] = bad;
+      return r;
+    };
+    for (int op = 0; op < 400; ++op) {
+      const uint64_t ingested0 = C(ingested);
+      const double now = sketch.now();
+      int reason = -1;  // Index into `reasons` when the op must be refused.
+      Status st;
+      switch (rng.UniformInt(7)) {
+        case 0:
+          st = sketch.Update(row(0.0), now + rng.UniformInt(2));
+          break;
+        case 1:
+          st = sketch.Update(row(std::nan("")), now + 1.0);
+          reason = 1;
+          break;
+        case 2:
+          st = sketch.Update(std::vector<double>(d + 1, 1.0), now + 1.0);
+          reason = 0;
+          break;
+        case 3:
+          st = sketch.Update(row(0.0), now - 0.5);
+          reason = 2;
+          break;
+        case 4:
+          st = sketch.AdvanceTo(rng.UniformInt(2) ? now + 1.0 : now - 1.0);
+          if (sketch.now() == now) reason = 3;
+          break;
+        default: {
+          Matrix batch = GaussianRows(5, d, rng.Next());
+          const std::vector<double> ts{now, now + 1, now + 1, now + 2, now + 3};
+          const bool bad = rng.UniformInt(2) != 0;
+          if (bad) batch(rng.UniformInt(5), 2) = 1e300;
+          st = sketch.UpdateBatch(batch, ts);
+          if (bad) reason = 1;
+        }
+      }
+      ASSERT_EQ(st.ok(), reason < 0) << st.ToString();
+      if (reason >= 0) {
+        ++want[reason];
+        EXPECT_EQ(C(ingested), ingested0) << "op " << op;
+      }
+      for (size_t r = 0; r < reasons.size(); ++r) {
+        ASSERT_EQ(C(reasons[r]) - base[r], want[r]) << reasons[r];
+      }
+    }
+  }
+}
+
+// The service counts what it refuses under the same reasons in "service.";
+// a row refused there never reaches a tenant's "sketch." ledger, while a
+// clock move only the tenant can judge counts in both.
+TEST(MetricsInvariantsTest, ServiceRejectionLedger) {
+  SketchConfig config;
+  config.algorithm = "lm-fd";
+  config.ell = 4;
+  auto made = TenantManager::Make(3, WindowSpec::Sequence(20), config);
+  ASSERT_TRUE(made.ok());
+  TenantManager& manager = **made;
+  const uint64_t dim0 = C("service.rows_rejected.dim");
+  const uint64_t nonfinite0 = C("service.rows_rejected.non_finite");
+  const uint64_t ts0 = C("service.rows_rejected.ts_order");
+  const uint64_t adv0 = C("service.advances_rejected");
+  const uint64_t sketch_nonfinite0 = C("sketch.rows_rejected.non_finite");
+  const uint64_t sketch_ts0 = C("sketch.rows_rejected.ts_order");
+  const uint64_t sketch_adv0 = C("sketch.advances_rejected");
+  const std::vector<double> ok(3, 1.0), nan_row{1.0, std::nan(""), 1.0};
+  EXPECT_FALSE(manager.Update(1, nan_row, 0.0).ok());
+  EXPECT_FALSE(manager.Update(1, std::vector<double>(4, 1.0), 0.0).ok());
+  std::vector<KeyedRow> batch{{1, 0.0, ok}, {2, 0.0, nan_row}};
+  EXPECT_FALSE(manager.UpdateKeyed(batch).ok());
+  ASSERT_TRUE(manager.Update(1, ok, 5.0).ok());
+  EXPECT_FALSE(manager.Update(1, ok, 4.0).ok());
+  batch = {{1, 3.0, ok}};
+  EXPECT_FALSE(manager.UpdateKeyed(batch).ok());
+  EXPECT_FALSE(manager.AdvanceTo(1, 2.0).ok());
+  EXPECT_EQ(C("service.rows_rejected.dim") - dim0, 1u);
+  EXPECT_EQ(C("service.rows_rejected.non_finite") - nonfinite0, 2u);
+  EXPECT_EQ(C("service.rows_rejected.ts_order") - ts0, 2u);
+  EXPECT_EQ(C("service.advances_rejected") - adv0, 1u);
+  EXPECT_EQ(C("sketch.rows_rejected.non_finite") - sketch_nonfinite0, 0u);
+  EXPECT_EQ(C("sketch.rows_rejected.ts_order") - sketch_ts0, 2u);
+  EXPECT_EQ(C("sketch.advances_rejected") - sketch_adv0, 1u);
 }
 
 TEST(MetricsInvariantsTest, SworDrawsAreConserved) {

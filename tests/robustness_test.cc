@@ -109,7 +109,10 @@ TEST(SketchRobustness, AdvanceToIdempotent) {
   lm.AdvanceTo(5.0);
   lm.AdvanceTo(5.0);
   EXPECT_EQ(lm.Query().rows(), 1u);
-  EXPECT_DEATH(lm.AdvanceTo(4.0), "");  // Time cannot go backwards.
+  // Time cannot go backwards: refused, and the window stays where it was.
+  EXPECT_EQ(lm.AdvanceTo(4.0).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(lm.now(), 5.0);
+  EXPECT_EQ(lm.Query().rows(), 1u);
 }
 
 TEST(SketchRobustness, QueryIsRepeatable) {
